@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,8 +151,8 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
                          f"expected {true_class}")
     groups = _pixel_groups(net.input_width, shape)
 
-    t0 = time.time()
-    deadline = t0 + timeout if timeout is not None else None
+    t0 = time.perf_counter()
+    deadline = time.monotonic() + timeout if timeout is not None else None
     cur = x0
     margin = float(y0[c] - np.delete(y0, c).max())
     used = np.zeros(len(groups), dtype=bool)
@@ -160,7 +162,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
     witnesses: list = []
 
     for _ in range(max_pixels):
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             status = "TIMEOUT"
             break
         g = gradient(net, cur, c).wrt_input
@@ -171,11 +173,11 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
         target = int(np.argmax(scores))
         used[target] = True
 
-        remaining = None if deadline is None else max(deadline - time.time(),
-                                                      1e-3)
+        remaining = (None if deadline is None
+                     else max(deadline - time.monotonic(), 1e-3))
         cfg = ReachConfig(mode="fast", relaxation=relaxation,
                           timeout=remaining)
-        step_t = time.time()
+        step_t = time.perf_counter()
         res = reach(net, InputSpec(cur, tuple(groups[target]), epsilon), cfg)
         total_sets += res.set_count
 
@@ -188,7 +190,8 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
                 best = (float(m[v]), s.region_vertices[v])
         margin, cur = best
         per_pixel.append({"pixel": target, "sets": res.set_count,
-                          "time_s": time.time() - step_t, "margin": margin})
+                          "time_s": time.perf_counter() - step_t,
+                          "margin": margin})
 
         y = forward(net, cur)
         k = int(np.argmax(y))
@@ -196,13 +199,14 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
             witnesses.append((cur, k))
             status = "UNSAFE"
             break
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             status = "TIMEOUT"
             break
 
     info = {"class": c, "pixels_tried": len(per_pixel),
             "per_pixel": per_pixel, "final_margin": margin}
-    return Verdict(status, witnesses, total_sets, time.time() - t0, info=info)
+    return Verdict(status, witnesses, total_sets, time.perf_counter() - t0,
+                   info=info)
 
 
 def _hull2d(points: np.ndarray) -> np.ndarray:
@@ -400,13 +404,45 @@ def main(argv=None) -> int:
         return 4
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC: a dump or reload builds about a million small
+    containers without cycles, which the collector would keep rescanning."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _write_result(path, res, cfg: ReachConfig) -> None:
+    with _gc_paused():
+        text = json.dumps(result_to_dict(res, cfg.mode, cfg.relaxation))
+    Path(path).write_text(text)
+
+
+def _read_sets(path, set_id: int | None = None) -> list:
+    """Rebuild the sets of a result dump, or only set ``set_id`` of it."""
+    with _gc_paused():
+        recs = json.loads(Path(path).read_text())["sets"]
+        if set_id is not None:
+            if not 0 <= set_id < len(recs):
+                raise ModelError(f"set id {set_id} out of range "
+                                 f"({len(recs)} sets)")
+            recs = recs[set_id:set_id + 1]
+        sets = sets_from_dict({"sets": recs})
+        del recs  # free the parsed tree before the collector resumes
+    return sets
+
+
 def _dispatch(args) -> int:
     if args.command == "reach":
         net = load_model(args.model)
         cfg = _config_from_args(args)
         res = reach(net, _spec_from_args(args), cfg)
-        doc = result_to_dict(res, cfg.mode, cfg.relaxation)
-        Path(args.out).write_text(json.dumps(doc))
+        _write_result(args.out, res, cfg)
         print(json.dumps({"set_count": res.set_count,
                           "wall_time_s": res.wall_time,
                           "partitions_done": res.partitions_done,
@@ -421,8 +457,7 @@ def _dispatch(args) -> int:
         res = None
         if args.out:
             res = reach(net, spec, cfg)
-            Path(args.out).write_text(
-                json.dumps(result_to_dict(res, cfg.mode, cfg.relaxation)))
+            _write_result(args.out, res, cfg)
         verdict = verify(net, spec, cfg, result=res)
         print(verdict.to_json())
         return EXIT_CODES[verdict.status]
@@ -437,12 +472,7 @@ def _dispatch(args) -> int:
         return EXIT_CODES[verdict.status]
 
     if args.command == "backtrack":
-        doc = json.loads(Path(args.result).read_text())
-        sets = sets_from_dict(doc)
-        if not 0 <= args.set_id < len(sets):
-            raise ModelError(f"set id {args.set_id} out of range "
-                             f"({len(sets)} sets)")
-        s = sets[args.set_id]
+        s, = _read_sets(args.result, args.set_id)
         constraints = [_parse_constraint(c, s.ambient_dim)
                        for c in args.constraint]
         region = backtrack(s, constraints)
@@ -458,8 +488,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "project":
-        doc = json.loads(Path(args.result).read_text())
-        sets = sets_from_dict(doc)
+        sets = _read_sets(args.result)
         axes = args.axes.split(",")
         if len(axes) != 2:
             raise ModelError("axes must name exactly two expressions")

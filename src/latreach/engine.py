@@ -127,7 +127,7 @@ def _propagate_partition(net, baseline, coords, lo, hi, selections, deadline,
     stats = {"splits": 0, "sets_per_layer": [0] * len(net.layers)}
     sets = [_embedded_box(baseline, coords, lo, hi)]
     for i, layer in enumerate(net.layers):
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             return None, stats
         if len(sets) > max_sets:
             return None, stats
@@ -157,8 +157,9 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig) -> ReachResult:
     """
     if spec.baseline.size != net.input_width:
         raise ModelError("input spec does not match network input width")
-    t0 = time.time()
-    deadline = t0 + cfg.timeout if cfg.timeout is not None else None
+    t0 = time.perf_counter()
+    deadline = (time.monotonic() + cfg.timeout if cfg.timeout is not None
+                else None)
     selections = (select_neurons(net, spec, cfg.relaxation)
                   if cfg.mode == "fast" else None)
 
@@ -174,7 +175,7 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig) -> ReachResult:
 
     if cfg.workers == 1:
         for lo, hi in parts:
-            if deadline is not None and time.time() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 truncated = True
                 break
             if len(outs) > cfg.max_sets:
@@ -207,8 +208,8 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig) -> ReachResult:
     if len(outs) > cfg.max_sets:
         outs = outs[:cfg.max_sets]
         truncated = True
-    return ReachResult(outs, len(outs), time.time() - t0, done, truncated,
-                       counters)
+    return ReachResult(outs, len(outs), time.perf_counter() - t0, done,
+                       truncated, counters)
 
 
 def backtrack(result_set: LatticeSet, constraints) -> LatticeSet | None:

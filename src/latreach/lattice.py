@@ -35,6 +35,9 @@ POSITIVE = 1
 NEGATIVE = -1
 ZERO = 0
 
+# split sign bits indexed by label: ZERO -> 0, POSITIVE -> 1, NEGATIVE -> 2
+_SIGN_BITS = np.array([0, 1, 2], dtype=np.int8)
+
 
 class LatticeError(ValueError):
     """Raised when a lattice or set violates a structural invariant."""
@@ -277,6 +280,10 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
     ``region_vertices`` with the same parameter), each cut face gains a
     section face one dimension lower, and existing all-zero faces are reused
     as sections instead of being duplicated.
+
+    Everything runs on whole CSR arrays: sign flags are reduced once per
+    dimension level, all crossing edges are interpolated together, and the
+    children of every new section face are gathered in one flattened pass.
     """
     cls = classify_vertices(s, h)
     if not cls.has_neg:
@@ -287,136 +294,118 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
     lat = s.lattice
     nf = lat.n_faces
     nv = lat.n_vertices
+    ptr, idx = lat.child_ptr, lat.child_idx
     labels = cls.labels
     vals = cls.values
 
-    has_pos = np.zeros(nf, dtype=bool)
-    has_neg = np.zeros(nf, dtype=bool)
-    all_zero = np.zeros(nf, dtype=bool)
-    has_pos[:nv] = labels > 0
-    has_neg[:nv] = labels < 0
-    all_zero[:nv] = labels == 0
-    # propagate flags bottom-up one dimension level at a time; children live
-    # at lower levels so their flags are final when a level is reduced
+    # sign bits per face: 1 = has a positive vertex, 2 = has a negative one,
+    # so 3 marks a cut face and 0 an all-zero one; children live at lower
+    # levels, so their flags are final when a level is reduced
+    flags = np.zeros(nf, dtype=np.int8)
+    flags[:nv] = _SIGN_BITS[labels]
     for k in range(1, lat.top_dim + 1):
         lo, hi = lat.dim_range(k)
-        ch = lat.child_idx[lat.child_ptr[lo]:lat.child_ptr[hi]]
-        starts = lat.child_ptr[lo:hi] - lat.child_ptr[lo]
-        has_pos[lo:hi] = np.logical_or.reduceat(has_pos[ch], starts)
-        has_neg[lo:hi] = np.logical_or.reduceat(has_neg[ch], starts)
-        all_zero[lo:hi] = np.logical_and.reduceat(all_zero[ch], starts)
+        a, b = ptr[lo], ptr[hi]
+        flags[lo:hi] = np.bitwise_or.reduceat(flags[idx[a:b]], ptr[lo:hi] - a)
+    cut = flags == 3
+    all_zero = flags == 0
 
-    cut = has_pos & has_neg
+    # section[f]: position of the cut face f's section on the hyperplane,
+    # either its first all-zero child or a new face coded as nf + j
+    owner = np.repeat(np.arange(nf), ptr[1:] - ptr[:-1])
+    hit = (all_zero[idx] & cut[owner]).nonzero()[0]
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = owner[hit[1:]] != owner[hit[:-1]]
+    section = np.full(nf, -1, dtype=np.int64)
+    section[owner[hit[first]]] = idx[hit[first]]
 
-    # section_ref[f]: position of the face f's section on the hyperplane,
-    # either an existing all-zero child or a new face coded as nf + j
-    section_ref = np.full(nf, -1, dtype=np.int64)
-    new_dims: list[int] = []
-    new_children: list[list[int]] = []
-    new_pn: list[tuple[int, int]] = []
-    new_t: list[float] = []
+    # crossing edges: interpolate all at once; an edge whose parameter is
+    # not finite (interpolation underflow) is treated as non-intersecting
+    lo, hi = lat.dim_range(1)
+    edges = lo + (cut[lo:hi] & (section[lo:hi] < 0)).nonzero()[0]
+    v0, v1 = idx[ptr[edges]], idx[ptr[edges] + 1]
+    v0_pos = labels[v0] > 0
+    p, n = np.where(v0_pos, v0, v1), np.where(v0_pos, v1, v0)
+    t = -vals[n] / (vals[p] - vals[n])
+    finite = np.isfinite(t)
+    cut[edges[~finite]] = False
+    p, n = p[finite], n[finite]
+    t = np.minimum(np.maximum(t[finite], 0.0), 1.0)[:, None]
+    new_verts = s.vertices[n] + t * (s.vertices[p] - s.vertices[n])
+    new_regions = (s.region_vertices[n]
+                   + t * (s.region_vertices[p] - s.region_vertices[n]))
 
-    for f in np.nonzero(cut)[0]:
-        ch = lat.children_of(f)
-        azc = ch[all_zero[ch]]
-        if azc.size:
-            section_ref[f] = int(azc[0])
-            continue
-        fdim = int(lat.dims[f])
-        if fdim == 1:
-            v0, v1 = int(ch[0]), int(ch[1])
-            p, n = (v0, v1) if labels[v0] > 0 else (v1, v0)
-            denom = vals[p] - vals[n]
-            t = -vals[n] / denom if denom > 0 else np.inf
-            if not np.isfinite(t):
-                # interpolation underflow: treat the edge as non-intersecting
-                cut[f] = False
-                continue
-            j = len(new_dims)
-            new_dims.append(0)
-            new_children.append([])
-            new_pn.append((p, n))
-            new_t.append(min(max(t, 0.0), 1.0))
-            section_ref[f] = nf + j
-            continue
-        kids: list[int] = []
-        for c in ch:
-            if cut[c] and section_ref[c] >= 0:
-                kids.append(int(section_ref[c]))
-        for c in ch:
-            for g in lat.children_of(c):
-                if all_zero[g]:
-                    kids.append(int(g))
-        kids = list(dict.fromkeys(kids))
-        j = len(new_dims)
-        new_dims.append(fdim - 1)
-        new_children.append(kids)
-        section_ref[f] = nf + j
+    # cut is final now: number the new section faces in position order, so
+    # the new vertices (sections of edges) come first
+    src = (cut & (section < 0)).nonzero()[0]
+    n_new = src.size
+    section[src] = nf + np.arange(n_new)
 
-    n_new_vertices = len(new_pn)
-    if n_new_vertices:
-        pn = np.array(new_pn, dtype=np.int64)
-        t = np.array(new_t)[:, None]
-        vp, vn = s.vertices[pn[:, 0]], s.vertices[pn[:, 1]]
-        new_verts = vn + t * (vp - vn)
-        rp, rn = s.region_vertices[pn[:, 0]], s.region_vertices[pn[:, 1]]
-        new_regions = rn + t * (rp - rn)
-    else:
-        new_verts = np.empty((0, s.ambient_dim))
-        new_regions = np.empty((0, s.region_vertices.shape[1]))
+    # children of a new face of dimension >= 1: the sections of its source's
+    # cut children, then its source's all-zero grandchildren, each once (a
+    # stable sort by key puts a pair's first occurrence first); the entries
+    # stay ungrouped here, _assemble_side groups them by owner stably
+    n_edges = p.size
+    ch, rank = _gather(ptr, idx, src[n_edges:])
+    grand, grank = _gather(ptr, idx, ch)
+    sec = section[ch]
+    kid_owner = np.concatenate((rank[sec >= 0], rank[grank[all_zero[grand]]]))
+    kid = np.concatenate((sec[sec >= 0], grand[all_zero[grand]]))
+    key = kid_owner * (nf + n_new) + kid
+    by_key = key.argsort(kind="stable")
+    once = np.ones(key.size, dtype=bool)
+    once[by_key[1:]] = key[by_key[1:]] != key[by_key[:-1]]
 
-    shared = (new_dims, new_children, new_verts, new_regions,
-              section_ref, cut)
-    pos_set = _assemble_side(s, has_pos | all_zero, *shared)
-    neg_set = _assemble_side(s, has_neg | all_zero, *shared)
+    # entries shared by both sides: the section child of each source face,
+    # then the children of each new face
+    extra_owner = np.concatenate((src, nf + n_edges + kid_owner[once]))
+    extra_kid = np.concatenate((nf + np.arange(n_new), kid[once]))
+    shared = (owner, lat.dims[src] - 1, extra_owner, extra_kid, new_verts,
+              new_regions)
+    pos_set = _assemble_side(s, flags != 2, *shared)
+    neg_set = _assemble_side(s, flags != 1, *shared)
     return pos_set, neg_set
 
 
-def _assemble_side(s, keep, new_dims, new_children, new_verts, new_regions,
-                   section_ref, cut):
-    """Build one output of a case-1 split from kept faces plus sections."""
+def _gather(ptr, idx, rows):
+    """Concatenated child lists of ``rows`` and each entry's index in rows."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    rank = np.repeat(np.arange(rows.size), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    return idx[np.arange(rank.size) + shift[rank]], rank
+
+
+def _assemble_side(s, keep, owner, new_dims, extra_owner, extra_kid,
+                   new_verts, new_regions):
+    """Build one output of a two-sided split from kept faces plus sections."""
     lat = s.lattice
     nf = lat.n_faces
-    n_new = len(new_dims)
+    n_new = new_dims.size
     # final positions sorted by (dim, old-before-new, original order); new
     # faces are coded nf + j so old kept vertex rows land first
-    entries = [(int(lat.dims[p]), 0, int(p)) for p in np.nonzero(keep)[0]]
-    entries += [(new_dims[j], 1, nf + j) for j in range(n_new)]
-    entries.sort()
-    pos_of = {code: i for i, (_, _, code) in enumerate(entries)}
+    old = keep.nonzero()[0]
+    codes = np.concatenate((old, nf + np.arange(n_new)))
+    dims = np.concatenate((lat.dims[old], new_dims))
+    order = (2 * dims + (codes >= nf)).argsort(kind="stable")
+    codes, dims = codes[order], dims[order]
+    pos_of = np.full(nf + n_new, -1, dtype=np.int64)
+    pos_of[codes] = np.arange(codes.size)
+    ids = np.concatenate((lat.ids, lat.next_id + np.arange(n_new)))[codes]
 
-    dims_out = np.fromiter((e[0] for e in entries), dtype=np.int16,
-                           count=len(entries))
-    ids_out = np.empty(len(entries), dtype=np.int64)
-    kids_out: list[list[int]] = []
-    for i, (_, is_new, code) in enumerate(entries):
-        if is_new:
-            j = code - nf
-            ids_out[i] = lat.next_id + j
-            kids = [pos_of[c] for c in new_children[j]]
-        else:
-            ids_out[i] = lat.ids[code]
-            kids = [pos_of[int(c)] for c in lat.children_of(code) if keep[c]]
-            sr = int(section_ref[code])
-            if cut[code] and sr >= nf:
-                kids.append(pos_of[sr])
-        kids_out.append(kids)
+    # kept children of kept faces, then the shared section entries; a stable
+    # sort by owner position keeps each face's old children first
+    own = (keep[owner] & keep[lat.child_idx]).nonzero()[0]
+    kid_owner = pos_of[np.concatenate((owner[own], extra_owner))]
+    kids = pos_of[np.concatenate((lat.child_idx[own], extra_kid))]
+    kids = kids[kid_owner.argsort(kind="stable")]
+    ptr = np.zeros(codes.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kid_owner, minlength=codes.size), out=ptr[1:])
 
-    ptr = np.zeros(len(entries) + 1, dtype=np.int64)
-    ptr[1:] = np.cumsum([len(k) for k in kids_out])
-    idx = np.fromiter(itertools.chain.from_iterable(kids_out),
-                      dtype=np.int32, count=int(ptr[-1]))
-
-    old_vrows = [code for d, is_new, code in entries if d == 0 and not is_new]
-    new_vrows = [code - nf for d, is_new, code in entries if d == 0 and is_new]
-    verts = s.vertices[old_vrows]
-    regions = s.region_vertices[old_vrows]
-    if new_vrows:
-        verts = np.vstack([verts, new_verts[new_vrows]])
-        regions = np.vstack([regions, new_regions[new_vrows]])
-
-    out = FaceLattice(ids_out, dims_out, ptr, idx,
-                      len(old_vrows) + len(new_vrows), int(dims_out[-1]),
+    old_v = keep[:lat.n_vertices]
+    verts = np.concatenate((s.vertices[old_v], new_verts))
+    regions = np.concatenate((s.region_vertices[old_v], new_regions))
+    out = FaceLattice(ids, dims, ptr, kids, verts.shape[0], int(dims[-1]),
                       lat.next_id + n_new)
     return LatticeSet(out, verts, regions)
 
@@ -508,9 +497,11 @@ def validate_set(s: LatticeSet) -> None:
 def set_to_dict(s: LatticeSet) -> dict:
     """JSON-friendly dump: faces in position order plus both vertex matrices."""
     lat = s.lattice
-    faces = [{"id": int(lat.ids[f]), "dim": int(lat.dims[f]),
-              "children": [int(lat.ids[c]) for c in lat.children_of(f)]}
-             for f in range(lat.n_faces)]
+    kid_ids = lat.ids[lat.child_idx].tolist()
+    ptr = lat.child_ptr.tolist()
+    faces = [{"id": i, "dim": k, "children": kid_ids[a:b]}
+             for i, k, a, b in zip(lat.ids.tolist(), lat.dims.tolist(),
+                                   ptr, ptr[1:])]
     return {"faces": faces,
             "vertices": s.vertices.tolist(),
             "region": s.region_vertices.tolist()}
@@ -519,20 +510,26 @@ def set_to_dict(s: LatticeSet) -> dict:
 def set_from_dict(d: dict) -> LatticeSet:
     """Rebuild a set from :func:`set_to_dict` output.
 
-    Vertex rows are matched to dim-0 face records in listing order.
+    Vertex rows are matched to dim-0 face records in listing order.  A
+    duplicate face id or a child id that names no face raises LatticeError.
     """
-    recs = d["faces"]
-    order = sorted(range(len(recs)), key=lambda i: (recs[i]["dim"], i))
-    pos_of_id = {recs[i]["id"]: p for p, i in enumerate(order)}
-    dims = np.array([recs[i]["dim"] for i in order], dtype=np.int16)
-    ids = np.array([recs[i]["id"] for i in order], dtype=np.int64)
-    kids = [[pos_of_id[c] for c in recs[i]["children"]] for i in order]
+    recs = sorted(d["faces"], key=lambda r: r["dim"])  # stable
+    ids = np.array([r["id"] for r in recs], dtype=np.int64)
+    dims = np.array([r["dim"] for r in recs], dtype=np.int16)
     ptr = np.zeros(len(recs) + 1, dtype=np.int64)
-    ptr[1:] = np.cumsum([len(k) for k in kids])
-    idx = np.fromiter(itertools.chain.from_iterable(kids), dtype=np.int32,
-                      count=int(ptr[-1]))
+    ptr[1:] = np.cumsum([len(r["children"]) for r in recs])
+    kid_ids = np.fromiter(
+        itertools.chain.from_iterable(r["children"] for r in recs),
+        dtype=np.int64, count=int(ptr[-1]))
+    by_id = np.argsort(ids)
+    sorted_ids = ids[by_id]
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]):
+        raise LatticeError("duplicate face id")
+    at = np.minimum(np.searchsorted(sorted_ids, kid_ids), ids.size - 1)
+    if np.any(sorted_ids[at] != kid_ids):
+        raise LatticeError("child id names no face")
     n_vertices = int(np.count_nonzero(dims == 0))
-    lat = FaceLattice(ids, dims, ptr, idx, n_vertices,
+    lat = FaceLattice(ids, dims, ptr, by_id[at], n_vertices,
                       int(dims[-1]) if dims.size else 0, int(ids.max()) + 1)
     verts = np.asarray(d["vertices"], dtype=float).reshape(n_vertices, -1)
     regions = np.asarray(d["region"], dtype=float).reshape(n_vertices, -1)

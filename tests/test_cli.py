@@ -203,6 +203,35 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
     assert code == 4 and "constraint" in err
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    ("unknown_child", "child id names no face"),
+    ("duplicate_id", "duplicate face id")])
+def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
+    model = model_relu_quadrants(tmp_path)
+    x = baseline_csv(tmp_path, [0.0, 0.0])
+    out = tmp_path / "R.json"
+    run(["reach", "--model", model, "--input", x, "--pixels", "0,1",
+         "--epsilon", "1.0", "--out", str(out)], capsys)
+    doc = json.loads(out.read_text())
+    faces = doc["sets"][1]["faces"]
+    if corrupt == "unknown_child":
+        faces[-1]["children"][0] = max(f["id"] for f in faces) + 1
+    else:
+        faces[1]["id"] = faces[0]["id"]
+    out.write_text(json.dumps(doc))
+
+    back = ["backtrack", "--result", str(out), "--constraint", "1-0>=0"]
+    code, _, err = run(back + ["--set-id", "1"], capsys)
+    assert code == 4 and message in err
+    # backtrack rebuilds only the set it was asked for
+    code, _, _ = run(back + ["--set-id", "0"], capsys)
+    assert code == 0
+    # project rebuilds every set
+    code, _, err = run(["project", "--result", str(out), "--axes", "0,1",
+                        "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 4 and message in err
+
+
 def test_project_subcommand(tmp_path, capsys):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])

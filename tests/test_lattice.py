@@ -1,6 +1,7 @@
 """Lattice kernel tests: box construction, classification, splits, dumps."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -328,6 +329,58 @@ def test_dump_roundtrip(rng):
                          for c in back.lattice.children_of(f))
                   for f in range(back.lattice.n_faces)}
     assert by_id_orig == by_id_back
+
+
+def test_dump_text_is_pinned():
+    # the --out format: faces keyed id/dim/children in that order, ints as
+    # ints, vertex floats as repr'd by json
+    s = build_box_lattice([0.0, 0.0], [1.0, 1.0])
+    _, neg = split_by_hyperplane(s, Hyperplane([0.3, 0.7], -0.2))
+    assert json.dumps(set_to_dict(neg)) == (
+        '{"faces": [{"id": 0, "dim": 0, "children": []}, '
+        '{"id": 9, "dim": 0, "children": []}, '
+        '{"id": 10, "dim": 0, "children": []}, '
+        '{"id": 4, "dim": 1, "children": [0, 9]}, '
+        '{"id": 6, "dim": 1, "children": [0, 10]}, '
+        '{"id": 11, "dim": 1, "children": [9, 10]}, '
+        '{"id": 8, "dim": 2, "children": [4, 6, 11]}], '
+        '"vertices": [[0.0, 0.0], [0.0, 0.28571428571428575], '
+        '[0.6666666666666667, 0.0]], '
+        '"region": [[0.0, 0.0], [0.0, 0.28571428571428575], '
+        '[0.6666666666666667, 0.0]]}')
+
+
+def test_dump_reload_dump_is_identical(rng):
+    s = build_box_lattice([-1.0] * 3, [1.0] * 3)
+    cur = [s]
+    for step in range(5):
+        a = rng.normal(size=3)
+        # every other cut passes through a vertex of the first set
+        b = -float(a @ cur[0].vertices[0]) if step % 2 else rng.normal() * 0.3
+        cur = [x for t in cur for x in split_by_hyperplane(t, Hyperplane(a, b))
+               if x is not None]
+    assert len(cur) >= 4
+    for t in cur:
+        text = json.dumps(set_to_dict(t))
+        assert json.dumps(set_to_dict(set_from_dict(json.loads(text)))) == text
+
+
+@pytest.mark.parametrize("bad_child", [5, 99, -1])
+def test_dump_unknown_child_id_rejected(bad_child):
+    # the split square has ids 0, 4, 6, 8-11: 5 falls between two of them
+    s = build_box_lattice([0.0, 0.0], [1.0, 1.0])
+    _, neg = split_by_hyperplane(s, Hyperplane([0.3, 0.7], -0.2))
+    d = set_to_dict(neg)
+    d["faces"][-1]["children"][1] = bad_child
+    with pytest.raises(LatticeError, match="child id"):
+        set_from_dict(d)
+
+
+def test_dump_duplicate_face_id_rejected():
+    d = set_to_dict(build_box_lattice([0.0, 0.0], [1.0, 1.0]))
+    d["faces"][5]["id"] = d["faces"][4]["id"]
+    with pytest.raises(LatticeError, match="duplicate"):
+        set_from_dict(d)
 
 
 def test_parents_are_child_transpose():
