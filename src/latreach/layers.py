@@ -1,11 +1,13 @@
-"""Layer-level set propagation: affine, ReLU, and 2x2 maxpool layers.
+"""Layer-level set propagation: affine, ReLU, and maxpool layers.
 
 Each function maps a list of LatticeSets to the list of their images under
-one layer.  ReLU recursion only branches on neurons whose hyperplane actually
-crosses a set; maxpool enumerates, per pool, the linearity domains where one
-pool coordinate dominates the others.  In fast mode a NeuronSelection marks
-the neurons treated exactly; splits on the rest keep a single child, so fast
-outputs are always faces of exact outputs rather than new geometry.
+one layer.  ReLU walks a worklist that only branches on neurons whose
+hyperplane actually crosses a set.  Maxpool settles, in one array pass per
+set, every pool whose comparison hyperplanes the set does not cross; only
+crossed pools enumerate the linearity domains where one pool coordinate
+dominates the others.  In fast mode a NeuronSelection marks the neurons
+treated exactly; splits on the rest keep a single child, so fast outputs
+are always faces of exact outputs rather than new geometry.
 """
 
 from __future__ import annotations
@@ -87,59 +89,61 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     """Propagate sets through an elementwise ReLU layer.
 
     Per set, the neurons whose coordinate changes sign over the set are
-    processed recursively in ascending index order; coordinates that never go
-    positive are projected to zero in one batch.  With a ``selection``,
-    splits on unselected neurons keep only the child with more vertices
-    (tie: the positive child).
+    split on depth first (ascending index, positive child first);
+    coordinates that never go positive are projected to zero in one batch.
+    With a ``selection``, splits on unselected neurons keep only the child
+    with more vertices (tie: the positive child).
     """
     out = []
     for s in inputs:
         if selection is not None and selection.width != s.ambient_dim:
             raise LatticeError("selection width does not match layer input")
-        out.extend(_relu_set(s, np.arange(s.ambient_dim), selection, stats))
+        out.extend(_relu_set(s, selection, stats))
     return out
 
 
-def _relu_set(s, candidates, selection, stats):
-    sub = s.vertices[:, candidates]
-    tol = ZERO_TOL * np.maximum(1.0, np.abs(sub))
-    goes_pos = (sub > tol).any(axis=0)
-    goes_neg = (sub < -tol).any(axis=0)
-    news = candidates[goes_pos & goes_neg]
-    negs = candidates[~goes_pos]
-
-    if negs.size:
-        v = s.vertices.copy()
-        v[:, negs] = 0.0
-        s = LatticeSet(s.lattice, v, s.region_vertices)
-    if news.size == 0:
-        return [s]
-
-    k = int(news[0])
-    pos_s, neg_s = split_by_hyperplane(s, axis_hyperplane(s.ambient_dim, k))
-    _bump(stats, "splits")
-    # sliver pruning applies to the raw split children; the projection below
-    # flattens the negative child on purpose and must not trigger it
-    if pos_s is not None and _pruned_empty(pos_s):
-        pos_s = None
-    if neg_s is not None and _pruned_empty(neg_s):
-        neg_s = None
-    if neg_s is not None:
-        neg_s = project_to_hyperplane(neg_s, k)
-
-    if selection is None or selection.selected[k]:
-        children = [pos_s, neg_s]
-    elif pos_s is None or neg_s is None:
-        children = [pos_s if neg_s is None else neg_s]
-    else:
-        children = [pos_s if pos_s.n_vertices >= neg_s.n_vertices else neg_s]
-
-    rest = news[1:]
+def _relu_set(s, selection, stats):
+    # explicit worklist: a set can cross thousands of neuron hyperplanes
     out = []
-    for child in children:
-        if child is None:
+    work = [(s, np.arange(s.ambient_dim))]
+    while work:
+        s, candidates = work.pop()
+        sub = s.vertices[:, candidates]
+        tol = ZERO_TOL * np.maximum(1.0, np.abs(sub))
+        goes_pos = (sub > tol).any(axis=0)
+        goes_neg = (sub < -tol).any(axis=0)
+        news = candidates[goes_pos & goes_neg]
+        negs = candidates[~goes_pos]
+
+        if negs.size:
+            v = s.vertices.copy()
+            v[:, negs] = 0.0
+            s = LatticeSet(s.lattice, v, s.region_vertices)
+        if news.size == 0:
+            out.append(s)
             continue
-        out.extend(_relu_set(child, rest, selection, stats))
+
+        k = int(news[0])
+        pos_s, neg_s = split_by_hyperplane(s, axis_hyperplane(s.ambient_dim, k))
+        _bump(stats, "splits")
+        # sliver pruning applies to the raw split children; the projection
+        # below flattens the negative child on purpose and must not trigger it
+        if pos_s is not None and _pruned_empty(pos_s):
+            pos_s = None
+        if neg_s is not None and _pruned_empty(neg_s):
+            neg_s = None
+        if neg_s is not None:
+            neg_s = project_to_hyperplane(neg_s, k)
+
+        if selection is None or selection.selected[k]:
+            children = [pos_s, neg_s]
+        elif pos_s is None or neg_s is None:
+            children = [pos_s if neg_s is None else neg_s]
+        else:
+            children = [pos_s if pos_s.n_vertices >= neg_s.n_vertices
+                        else neg_s]
+        # pushed in reverse so the positive child's subtree comes out first
+        work.extend((c, news[1:]) for c in reversed(children) if c is not None)
     return out
 
 
@@ -238,42 +242,84 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     return out
 
 
+def pool_index(pools):
+    """Pools grouped by window size, ascending: ``[(positions, dims), ...]``
+    with ``dims`` the ``(P, w)`` window coordinates of the pools at
+    ``positions`` in ``pools``."""
+    groups = []
+    for w in sorted({len(p.dims) for p in pools}):
+        pos = [i for i, p in enumerate(pools) if len(p.dims) == w]
+        groups.append((np.array(pos), np.array([pools[i].dims for i in pos])))
+    return groups
+
+
+def _settled_winners(v, groups, n_pools):
+    """Each pool's winner on a set with vertex rows ``v``, in one array pass.
+
+    A pool whose comparisons the set does not cross is settled with the
+    ``classify_vertices`` zero band (a pair's lower coordinate wins unless a
+    vertex is negative): its winner's window index, or -2 if no coordinate
+    wins all its pairs.  A crossed pool gets -1, and so does every pool of a
+    non-finite set, where ``v_i - v_j`` need not equal the classify value.
+    """
+    won = np.full(n_pools, -1)
+    if not np.isfinite(v).all():
+        return won
+    for pos, dims in groups:
+        w = dims.shape[1]
+        i, j = np.triu_indices(w, 1)  # every pair; their order is moot here
+        d = v[:, dims[:, i]] - v[:, dims[:, j]]
+        tol = ZERO_TOL * np.maximum(1.0, np.abs(d))
+        has_pos, has_neg = (d > tol).any(axis=0), (d < -tol).any(axis=0)
+        pair_winner = np.where(has_neg, j, i)
+        full = (pair_winner[:, :, None] == np.arange(w)).sum(axis=1) == w - 1
+        settled = np.where(full.any(axis=1), full.argmax(axis=1), -2)
+        won[pos] = np.where((has_pos & has_neg).any(axis=1), -1, settled)
+    return won
+
+
 def maxpool_layer_reach(inputs, pools,
                         selection: NeuronSelection | None = None,
                         stats: dict | None = None):
     """Propagate sets through a maxpool layer of disjoint pools.
 
-    The pools must partition the input coordinates; winners are tracked per
-    pool and eliminated in one final column projection, output coordinate
-    ``pool.out`` receiving ``pool``'s winner.
+    The pools must partition the input coordinates.  Every set, and every
+    new piece a split creates, gets the winners of all its uncrossed pools
+    in one array pass (``_settled_winners``), with no split and no classify
+    call; only crossed pools enumerate their domains.  Output coordinate
+    ``pool.out`` receives ``pool``'s winner, and outputs come in
+    lexicographic order of the per-pool domains.
     """
     pools = list(pools)
     if not pools:
         raise LatticeError("maxpool layer needs at least one pool")
-    seen: set = set()
-    for pool in pools:
-        if seen & set(pool.dims):
-            raise LatticeError("pools overlap")
-        seen |= set(pool.dims)
+    groups = pool_index(pools)
+    counts = np.bincount(np.concatenate([d.ravel() for _, d in groups]))
+    if counts.max() > 1:
+        raise LatticeError("pools overlap")
     if sorted(p.out for p in pools) != list(range(len(pools))):
         raise LatticeError("pool outputs must be a permutation of 0..n-1")
+    # the only input width the pools cover, or -1 if they leave a gap
+    width = counts.size if counts.all() else -1
 
     out = []
     for s in inputs:
-        if seen != set(range(s.ambient_dim)):
+        if s.ambient_dim != width:
             raise LatticeError("pools must cover the layer input coordinates")
-        pending = [(s, [0] * len(pools))]
+        # (piece, winners of its settled pools or None, output columns)
+        pending = [(s, None, [0] * len(pools))]
         for pi, pool in enumerate(pools):
             nxt = []
-            for t, wins in pending:
-                for piece, k in _pool_domains(t, pool, selection, stats):
-                    w2 = wins.copy()
-                    w2[pi] = k
-                    nxt.append((piece, w2))
+            for t, won, cols in pending:
+                if won is None:
+                    won = _settled_winners(t.vertices, groups, len(pools))
+                k = int(won[pi])
+                doms = (_pool_domains(t, pool, selection, stats) if k == -1
+                        else [(t, k)] if k >= 0 else [])
+                for piece, win in doms:
+                    c2 = cols.copy()
+                    c2[pool.out] = pool.dims[win]
+                    nxt.append((piece, won if piece is t else None, c2))
             pending = nxt
-        for piece, wins in pending:
-            cols = [0] * len(pools)
-            for pi, pool in enumerate(pools):
-                cols[pool.out] = pool.dims[wins[pi]]
-            out.append(eliminate_dims(piece, cols))
+        out.extend(eliminate_dims(piece, cols) for piece, _, cols in pending)
     return out

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .lattice import LatticeSet, build_box_lattice, MAX_BOX_DIM
-from .layers import PoolSpec
+from .layers import PoolSpec, pool_index
 
 FLRW_MAGIC = b"FLRW"
 
@@ -28,7 +28,11 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class LayerDesc:
-    """One runtime layer: affine (W, b), relu, or maxpool (pools)."""
+    """One runtime layer: affine (W, b), relu, or maxpool (pools).
+
+    A maxpool layer also carries ``pool_idx``, the ``(width_out, 4)`` array
+    whose row ``r`` is the window of the pool that writes output ``r``.
+    """
 
     kind: str
     width_in: int
@@ -36,6 +40,8 @@ class LayerDesc:
     W: np.ndarray | None = None
     b: np.ndarray | None = None
     pools: tuple | None = None
+    pool_idx: np.ndarray | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("affine", "relu", "maxpool"):
@@ -57,21 +63,22 @@ class LayerDesc:
                 raise ModelError("relu must preserve width")
         else:
             pools = tuple(self.pools)
-            covered: set = set()
-            for p in pools:
-                if len(p.dims) != 4:
-                    raise ModelError("maxpool layers use 2x2 windows "
-                                     "(4 coordinates per pool)")
-                if covered & set(p.dims):
-                    raise ModelError("maxpool pools overlap")
-                covered |= set(p.dims)
-            if covered != set(range(self.width_in)):
-                raise ModelError("maxpool pools must cover the layer input")
+            if not pools or any(len(p.dims) != 4 for p in pools):
+                raise ModelError("maxpool layers use 2x2 windows "
+                                 "(one or more pools of 4 coordinates)")
             if sorted(p.out for p in pools) != list(range(len(pools))):
                 raise ModelError("maxpool outputs must be a permutation")
+            (_, idx), = pool_index(sorted(pools, key=lambda p: p.out))
+            counts = np.bincount(idx.ravel())
+            if counts.max() > 1:
+                raise ModelError("maxpool pools overlap")
+            if counts.size != self.width_in or not counts.all():
+                raise ModelError("maxpool pools must cover the layer input")
             if self.width_out != len(pools):
                 raise ModelError("maxpool width_out must equal pool count")
+            idx.setflags(write=False)
             object.__setattr__(self, "pools", pools)
+            object.__setattr__(self, "pool_idx", idx)
 
 
 @dataclass(frozen=True)
@@ -272,10 +279,7 @@ def _apply_layer(layer: LayerDesc, x: np.ndarray) -> np.ndarray:
         return layer.W @ x + layer.b
     if layer.kind == "relu":
         return np.maximum(x, 0.0)
-    y = np.empty(layer.width_out)
-    for pool in layer.pools:
-        y[pool.out] = x[list(pool.dims)].max()
-    return y
+    return x[layer.pool_idx].max(axis=1)
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -327,10 +331,10 @@ def gradient(net: Network, x, logit_index: int) -> Gradients:
             g = g * (u > 0)
             wrt_layer[i] = g
         else:
+            idx = layer.pool_idx
+            # first-max argmax: ties go to the lowest window coordinate
             back = np.zeros(layer.width_in)
-            for pool in layer.pools:
-                cols = list(pool.dims)
-                back[cols[int(np.argmax(u[cols]))]] = g[pool.out]
+            back[idx[np.arange(len(idx)), u[idx].argmax(axis=1)]] = g
             g = back
             wrt_layer[i] = g
     return Gradients(g, wrt_layer)

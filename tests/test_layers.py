@@ -78,6 +78,23 @@ def test_relu_count_bound_random(rng):
             assert (o.vertices >= -1e-9).all()
 
 
+def test_relu_many_parallel_crossings_do_not_recurse():
+    # 1,200 parallel neuron hyperplanes over a segment: one split per neuron
+    # along a single chain, far deeper than the interpreter's stack
+    seg = build_box_lattice([-1.0], [1.0])
+    s = affine_transform(seg, np.ones((1200, 1)), np.linspace(-0.9, 0.9, 1200))
+    stats = {}
+    outs = relu_layer_reach([s], stats=stats)
+    assert len(outs) == 1201
+    assert stats["splits"] == 1200
+    # depth first, positive child first: the input intervals come out from
+    # the top one, above every kink, down to the one below every kink
+    tops = [o.region_vertices.max() for o in outs]
+    assert all(a > b for a, b in zip(tops, tops[1:]))
+    assert np.allclose(sorted(outs[0].region_vertices[:, 0]), [0.9, 1.0])
+    assert (outs[-1].vertices == 0).all()
+
+
 def test_relu_selection_width_checked():
     s = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
     with pytest.raises(LatticeError):
