@@ -59,12 +59,11 @@ class Verdict:
 
 def _margins(V: np.ndarray, c: int):
     """Per-vertex margins v_c - v_j over j != c, with the relative zero band."""
-    others = [j for j in range(V.shape[1]) if j != c]
     vc = V[:, [c]]
-    vo = V[:, others]
+    vo = np.delete(V, c, axis=1)
     diff = vc - vo
     tol = ZERO_TOL * np.maximum(1.0, np.abs(vc) + np.abs(vo))
-    return diff, tol, others
+    return diff, tol
 
 
 def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
@@ -85,7 +84,7 @@ def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
     contact = False
     candidates = []
     for s in res.sets:
-        diff, tol, _ = _margins(s.vertices, c)
+        diff, tol = _margins(s.vertices, c)
         if (np.abs(diff) <= tol).any():
             contact = True
         viol = (diff < -tol).any(axis=1)
@@ -183,7 +182,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
 
         best = (margin, cur)
         for s in res.sets:
-            diff, _, _ = _margins(s.vertices, c)
+            diff, _ = _margins(s.vertices, c)
             m = diff.min(axis=1)
             v = int(np.argmin(m))
             if m[v] < best[0]:

@@ -2,10 +2,13 @@
 
 ``reach`` folds a list of sets through the network layer by layer.  The
 input box can be partitioned (repeated bisection of the widest perturbed
-coordinate) and partitions run independently, optionally on a process pool.
-Timeout checks are cooperative, between layer applications: a partition
-caught by the deadline is abandoned while completed partitions are kept and
-the result is flagged truncated.
+coordinate) and partitions run independently, in-process or on a process
+pool; ``workers`` chooses only where they run, never the result.  Budgets
+are cooperative: a partition checks the deadline and its own set count
+before every layer, and the run checks the total set count after each
+partition.  Completed partitions are kept in order, the first truncated
+partition ends the run, partitions not yet started are cancelled, and the
+result is flagged truncated.
 """
 
 from __future__ import annotations
@@ -13,14 +16,16 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .lattice import (LatticeSet, build_box_lattice, split_by_hyperplane,
-                      set_to_dict, set_from_dict)
+from .lattice import (LatticeSet, split_by_hyperplane, set_to_dict,
+                      set_from_dict)
 from .layers import (NeuronSelection, affine_layer_reach, relu_layer_reach,
                      maxpool_layer_reach)
-from .model import Network, InputSpec, ModelError, forward, gradient
+from .model import (Network, InputSpec, ModelError, embed_box, forward,
+                    gradient)
 
 DEFAULT_MAX_SETS = 5_000_000
 
@@ -110,22 +115,14 @@ def _partition_box(lo, hi, k):
     return leaves
 
 
-def _embedded_box(baseline, coords, lo, hi):
-    box = build_box_lattice(lo, hi)
-    emb = np.tile(baseline, (box.n_vertices, 1))
-    emb[:, coords] = box.vertices
-    return LatticeSet(box.lattice, emb, emb.copy())
-
-
-def _propagate_partition(net, baseline, coords, lo, hi, selections, deadline,
-                         max_sets):
-    """Run one partition through all layers.
+def _propagate_partition(net, spec, selections, deadline, max_sets, box):
+    """Run the input sub-box ``box = (lo, hi)`` through all layers.
 
     Returns (sets_or_None, stats); None means the deadline or the set cap
-    interrupted this partition.
+    interrupted this partition before some layer.
     """
     stats = {"splits": 0, "sets_per_layer": [0] * len(net.layers)}
-    sets = [_embedded_box(baseline, coords, lo, hi)]
+    sets = [embed_box(spec, *box)]
     for i, layer in enumerate(net.layers):
         if deadline is not None and time.monotonic() > deadline:
             return None, stats
@@ -140,12 +137,6 @@ def _propagate_partition(net, baseline, coords, lo, hi, selections, deadline,
             sets = maxpool_layer_reach(sets, layer.pools, sel, stats)
         stats["sets_per_layer"][i] += len(sets)
     return sets, stats
-
-
-def _merge_stats(total, part):
-    total["splits"] += part["splits"]
-    for i, n in enumerate(part["sets_per_layer"]):
-        total["sets_per_layer"][i] += n
 
 
 def reach(net: Network, spec: InputSpec, cfg: ReachConfig) -> ReachResult:
@@ -163,51 +154,33 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig) -> ReachResult:
     selections = (select_neurons(net, spec, cfg.relaxation)
                   if cfg.mode == "fast" else None)
 
-    coords = list(spec.perturbed_coords)
-    centers = spec.baseline[coords]
+    centers = spec.baseline[list(spec.perturbed_coords)]
     parts = _partition_box(centers - spec.epsilon, centers + spec.epsilon,
                            cfg.partitions)
+    run = partial(_propagate_partition, net, spec, selections, deadline,
+                  cfg.max_sets)
 
     counters = {"splits": 0, "sets_per_layer": [0] * len(net.layers)}
     outs: list = []
     done = 0
-    truncated = False
-
-    if cfg.workers == 1:
-        for lo, hi in parts:
-            if deadline is not None and time.monotonic() > deadline:
-                truncated = True
-                break
-            if len(outs) > cfg.max_sets:
-                truncated = True
-                break
-            sets, stats = _propagate_partition(net, spec.baseline, coords,
-                                               lo, hi, selections, deadline,
-                                               cfg.max_sets)
-            _merge_stats(counters, stats)
+    pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    try:
+        for sets, stats in (pool.map if pool else map)(run, parts):
+            counters["splits"] += stats["splits"]
+            for i, n in enumerate(stats["sets_per_layer"]):
+                counters["sets_per_layer"][i] += n
             if sets is None:
-                truncated = True
                 break
             outs.extend(sets)
             done += 1
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = [pool.submit(_propagate_partition, net, spec.baseline,
-                                coords, lo, hi, selections, deadline,
-                                cfg.max_sets)
-                    for lo, hi in parts]
-            for fut in futs:
-                sets, stats = fut.result()
-                _merge_stats(counters, stats)
-                if sets is None:
-                    truncated = True
-                    continue
-                outs.extend(sets)
-                done += 1
+            if len(outs) > cfg.max_sets:
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    if len(outs) > cfg.max_sets:
-        outs = outs[:cfg.max_sets]
-        truncated = True
+    truncated = done < len(parts) or len(outs) > cfg.max_sets
+    del outs[cfg.max_sets:]
     return ReachResult(outs, len(outs), time.perf_counter() - t0, done,
                        truncated, counters)
 

@@ -96,7 +96,7 @@ class FaceLattice:
     """
 
     __slots__ = ("ids", "dims", "child_ptr", "child_idx", "n_vertices",
-                 "top_dim", "next_id", "_dim_start", "_parents")
+                 "top_dim", "next_id", "_dim_start")
 
     def __init__(self, ids, dims, child_ptr, child_idx, n_vertices, top_dim,
                  next_id):
@@ -112,7 +112,6 @@ class FaceLattice:
         # dim k occupies positions dim_start[k]:dim_start[k+1]
         self._dim_start = np.searchsorted(
             self.dims, np.arange(self.top_dim + 2))
-        self._parents = None
 
     @property
     def n_faces(self) -> int:
@@ -124,20 +123,6 @@ class FaceLattice:
 
     def children_of(self, pos: int) -> np.ndarray:
         return self.child_idx[self.child_ptr[pos]:self.child_ptr[pos + 1]]
-
-    def _parent_csr(self):
-        if self._parents is None:
-            deg = np.diff(self.child_ptr)
-            owner = np.repeat(np.arange(self.n_faces, dtype=np.int32), deg)
-            order = np.argsort(self.child_idx, kind="stable")
-            cnt = np.bincount(self.child_idx, minlength=self.n_faces)
-            ptr = np.concatenate(([0], np.cumsum(cnt)))
-            self._parents = (ptr, owner[order])
-        return self._parents
-
-    def parents_of(self, pos: int) -> np.ndarray:
-        ptr, idx = self._parent_csr()
-        return idx[ptr[pos]:ptr[pos + 1]]
 
     def counts_by_dim(self) -> dict:
         ks, cs = np.unique(self.dims, return_counts=True)
@@ -186,12 +171,12 @@ class LatticeSet:
         return self.vertices.shape[0]
 
 
-def build_box_lattice(lower, upper, max_dim: int = MAX_BOX_DIM) -> LatticeSet:
+def build_box_lattice(lower, upper) -> LatticeSet:
     """Full face lattice of the axis-aligned box ``[lower, upper]``.
 
     Faces correspond to tag tuples in {low, high, free}^d, so the lattice has
     exactly 3^d faces and 2^d vertices.  Zero-width coordinates are allowed;
-    ``d`` is capped at ``max_dim`` because the lattice is exponential in d.
+    ``d`` is capped at ``MAX_BOX_DIM`` because the lattice is exponential in d.
     """
     lo = np.ascontiguousarray(lower, dtype=float).ravel()
     hi = np.ascontiguousarray(upper, dtype=float).ravel()
@@ -200,8 +185,8 @@ def build_box_lattice(lower, upper, max_dim: int = MAX_BOX_DIM) -> LatticeSet:
         raise LatticeError("lower and upper must have the same length")
     if d == 0:
         raise LatticeError("box must have at least one dimension")
-    if d > max_dim:
-        raise LatticeError(f"box dimension {d} exceeds limit {max_dim}")
+    if d > MAX_BOX_DIM:
+        raise LatticeError(f"box dimension {d} exceeds limit {MAX_BOX_DIM}")
     if np.any(lo > hi):
         raise LatticeError("box has lower > upper in some coordinate")
 

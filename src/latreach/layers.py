@@ -243,14 +243,27 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
 
 
 def pool_index(pools):
-    """Pools grouped by window size, ascending: ``[(positions, dims), ...]``
-    with ``dims`` the ``(P, w)`` window coordinates of the pools at
-    ``positions`` in ``pools``."""
+    """Check that ``pools`` are disjoint and group them by window size.
+
+    Returns ``(groups, width)``.  ``groups`` is ``[(positions, dims), ...]``,
+    ascending in window size, with ``dims`` the ``(P, w)`` window
+    coordinates of the pools at ``positions`` in ``pools``; ``width`` is the
+    only input width the pools cover, or -1 if they leave a gap.  Raises
+    LatticeError when there is no pool, pools overlap, or the outputs are
+    not a permutation of 0..n-1.
+    """
+    if not pools:
+        raise LatticeError("maxpool layer needs at least one pool")
+    if sorted(p.out for p in pools) != list(range(len(pools))):
+        raise LatticeError("pool outputs must be a permutation of 0..n-1")
     groups = []
     for w in sorted({len(p.dims) for p in pools}):
         pos = [i for i, p in enumerate(pools) if len(p.dims) == w]
         groups.append((np.array(pos), np.array([pools[i].dims for i in pos])))
-    return groups
+    counts = np.bincount(np.concatenate([d.ravel() for _, d in groups]))
+    if counts.max() > 1:
+        raise LatticeError("pools overlap")
+    return groups, counts.size if counts.all() else -1
 
 
 def _settled_winners(v, groups, n_pools):
@@ -291,16 +304,7 @@ def maxpool_layer_reach(inputs, pools,
     lexicographic order of the per-pool domains.
     """
     pools = list(pools)
-    if not pools:
-        raise LatticeError("maxpool layer needs at least one pool")
-    groups = pool_index(pools)
-    counts = np.bincount(np.concatenate([d.ravel() for _, d in groups]))
-    if counts.max() > 1:
-        raise LatticeError("pools overlap")
-    if sorted(p.out for p in pools) != list(range(len(pools))):
-        raise LatticeError("pool outputs must be a permutation of 0..n-1")
-    # the only input width the pools cover, or -1 if they leave a gap
-    width = counts.size if counts.all() else -1
+    groups, width = pool_index(pools)
 
     out = []
     for s in inputs:

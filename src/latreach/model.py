@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeSet, build_box_lattice, MAX_BOX_DIM
+from .lattice import LatticeError, LatticeSet, build_box_lattice
 from .layers import PoolSpec, pool_index
 
 FLRW_MAGIC = b"FLRW"
@@ -63,19 +63,18 @@ class LayerDesc:
                 raise ModelError("relu must preserve width")
         else:
             pools = tuple(self.pools)
-            if not pools or any(len(p.dims) != 4 for p in pools):
+            if any(len(p.dims) != 4 for p in pools):
                 raise ModelError("maxpool layers use 2x2 windows "
-                                 "(one or more pools of 4 coordinates)")
-            if sorted(p.out for p in pools) != list(range(len(pools))):
-                raise ModelError("maxpool outputs must be a permutation")
-            (_, idx), = pool_index(sorted(pools, key=lambda p: p.out))
-            counts = np.bincount(idx.ravel())
-            if counts.max() > 1:
-                raise ModelError("maxpool pools overlap")
-            if counts.size != self.width_in or not counts.all():
+                                 "(pools of 4 coordinates)")
+            try:
+                groups, width = pool_index(sorted(pools, key=lambda p: p.out))
+            except LatticeError as e:
+                raise ModelError(f"maxpool layer: {e}") from e
+            if width != self.width_in:
                 raise ModelError("maxpool pools must cover the layer input")
             if self.width_out != len(pools):
                 raise ModelError("maxpool width_out must equal pool count")
+            (_, idx), = groups
             idx.setflags(write=False)
             object.__setattr__(self, "pools", pools)
             object.__setattr__(self, "pool_idx", idx)
@@ -340,8 +339,8 @@ def gradient(net: Network, x, logit_index: int) -> Gradients:
     return Gradients(g, wrt_layer)
 
 
-def build_input_set(spec: InputSpec, max_box_dim: int = MAX_BOX_DIM) -> LatticeSet:
-    """Hyperbox input set over the perturbed coordinates, embedded at baseline.
+def embed_box(spec: InputSpec, lo, hi) -> LatticeSet:
+    """Box ``[lo, hi]`` over the perturbed coordinates, embedded at baseline.
 
     The lattice is the d-box lattice (d perturbed coordinates); vertex rows
     are full-width input vectors with unperturbed coordinates at baseline.
@@ -350,9 +349,13 @@ def build_input_set(spec: InputSpec, max_box_dim: int = MAX_BOX_DIM) -> LatticeS
     coords = list(spec.perturbed_coords)
     if not coords:
         raise ModelError("need at least one perturbed coordinate")
-    centers = spec.baseline[coords]
-    box = build_box_lattice(centers - spec.epsilon, centers + spec.epsilon,
-                            max_dim=max_box_dim)
+    box = build_box_lattice(lo, hi)
     emb = np.tile(spec.baseline, (box.n_vertices, 1))
     emb[:, coords] = box.vertices
     return LatticeSet(box.lattice, emb, emb.copy())
+
+
+def build_input_set(spec: InputSpec) -> LatticeSet:
+    """Hyperbox input set: each perturbed coordinate moves by +-epsilon."""
+    centers = spec.baseline[list(spec.perturbed_coords)]
+    return embed_box(spec, centers - spec.epsilon, centers + spec.epsilon)

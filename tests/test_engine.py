@@ -143,15 +143,22 @@ def test_reach_partitions_cover_same_image(rng):
     del X
 
 
-def test_reach_workers_match_sequential():
+@pytest.mark.parametrize("budget, done", [
+    ({}, 4),
+    ({"max_sets": 2}, 2),  # the set cap stops the run after two partitions
+    ({"timeout": 1e-6}, 0),  # past the deadline before the first layer
+], ids=["no_budget", "max_sets", "timeout"])
+def test_reach_workers_match_sequential(budget, done):
     net, spec = random_toy_net(11)
-    seq = reach(net, spec, ReachConfig(partitions=4, workers=1))
-    par = reach(net, spec, ReachConfig(partitions=4, workers=2))
-    assert par.partitions_done == 4
-    a = sorted(sorted(dedup_vertex_set(s)) for s in seq.sets)
-    b = sorted(sorted(dedup_vertex_set(s)) for s in par.sets)
+    seq = reach(net, spec, ReachConfig(partitions=4, workers=1, **budget))
+    par = reach(net, spec, ReachConfig(partitions=4, workers=2, **budget))
+    assert par.partitions_done == seq.partitions_done == done
+    assert par.truncated == seq.truncated == bool(budget)
+    assert par.set_count == seq.set_count
+    assert par.counters == seq.counters
+    a = [sorted(dedup_vertex_set(s)) for s in seq.sets]
+    b = [sorted(dedup_vertex_set(s)) for s in par.sets]
     assert a == b
-    assert par.counters["splits"] == seq.counters["splits"]
 
 
 def test_fast_outputs_inside_exact(rng):

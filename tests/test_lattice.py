@@ -383,16 +383,6 @@ def test_dump_duplicate_face_id_rejected():
         set_from_dict(d)
 
 
-def test_parents_are_child_transpose():
-    s = build_box_lattice([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    lat = s.lattice
-    pairs_down = {(f, int(c)) for f in range(lat.n_faces)
-                  for c in lat.children_of(f)}
-    pairs_up = {(int(p), c) for c in range(lat.n_faces)
-                for p in lat.parents_of(c)}
-    assert pairs_down == pairs_up
-
-
 def test_repeated_splits_keep_consistency(rng):
     # a chain of random splits preserves every structural invariant
     s = build_box_lattice([-1.0] * 4, [1.0] * 4)

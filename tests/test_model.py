@@ -8,6 +8,7 @@ import pytest
 
 from latreach import (ModelError, InputSpec, load_model, forward, gradient,
                       build_input_set, write_flrw, validate_set)
+from latreach.cli import main
 from latreach.model import _read_flrw
 
 
@@ -322,3 +323,25 @@ def test_input_spec_validation():
         InputSpec(np.zeros(3), (0,), -0.1)
     with pytest.raises(ModelError):
         build_input_set(InputSpec(np.zeros(3), (), 0.1))
+
+
+@pytest.mark.parametrize("pools", [
+    [{"dims": [0, 1, 2, 3], "out": 0}, {"dims": [3, 4, 5, 6], "out": 1}],
+    [{"dims": [0, 1, 2, 3], "out": 0}, {"dims": [4, 5, 6, 8], "out": 1}],
+    [{"dims": [0, 1, 2], "out": 0}, {"dims": [3, 4, 5, 6], "out": 1}],
+    [{"dims": [0, 1, 2, 3], "out": 0}, {"dims": [4, 5, 6, 7], "out": 2}],
+    [],
+], ids=["overlap", "gap", "three_coords", "not_permutation", "empty"])
+def test_maxpool_model_validation(tmp_path, capsys, pools):
+    doc = {"input_width": 8, "labels": ["a", "b"],
+           "layers": [{"kind": "maxpool", "pools": pools}]}
+    path = write_model(tmp_path, doc)
+    with pytest.raises(ModelError):
+        load_model(path)
+    if not pools:
+        x = tmp_path / "x.csv"
+        x.write_text(",".join(["0.0"] * 8))
+        code = main(["verify", "--model", str(path), "--input", str(x),
+                     "--pixels", "0", "--epsilon", "0.1"])
+        assert code == 4
+        assert "maxpool" in capsys.readouterr().err
