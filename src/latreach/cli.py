@@ -118,15 +118,17 @@ def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
                    boundary_contact=contact, info=info)
 
 
-def _pixel_groups(width: int, shape=None):
-    """Coordinate groups per pixel: all channels of (y, x), or singletons."""
+def _pixel_groups(width: int, shape=None) -> np.ndarray:
+    """``(n_pixels, c)`` input coordinates: row ``p`` holds all channels of
+    grid cell ``p`` of the ``(c, h, w)`` shape, or coordinate ``p`` alone."""
     if shape is None:
-        return [[i] for i in range(width)]
+        return np.arange(width)[:, None]
     c, h, w = shape
     if c * h * w != width:
         raise ModelError(f"shape {shape} does not match input width {width}")
-    return [[ch * h * w + y * w + x for ch in range(c)]
-            for y in range(h) for x in range(w)]
+    # C order: falsify's stacked row dots then run at unit stride, the
+    # kernel np.linalg.norm uses, so the pixel scores match it bit for bit
+    return np.ascontiguousarray(np.arange(width).reshape(c, h * w).T)
 
 
 def falsify(net: Network, image, epsilon: float, relaxation: float,
@@ -164,8 +166,8 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
         if deadline is not None and time.monotonic() > deadline:
             status = "TIMEOUT"
             break
-        g = gradient(net, cur, c).wrt_input
-        scores = np.array([np.linalg.norm(g[grp]) for grp in groups])
+        G = gradient(net, cur, c).wrt_input[groups]
+        scores = np.sqrt((G[:, None, :] @ G[:, :, None]).ravel())
         scores[used] = -np.inf
         if np.all(np.isinf(scores)):
             break
@@ -290,18 +292,14 @@ def _parse_shape(text):
     return parts
 
 
-def _parse_pixels(text, shape):
+def _parse_pixels(text, shape, width):
     """Pixel list to flat coordinate indices (all channels when shaped)."""
     ids = [int(v) for v in text.split(",") if v.strip() != ""]
-    if shape is None:
-        return ids
-    c, h, w = shape
-    coords = []
+    groups = _pixel_groups(width, shape)
     for p in ids:
-        if not 0 <= p < h * w:
-            raise ModelError(f"pixel {p} out of range for {h}x{w}")
-        coords.extend(ch * h * w + p for ch in range(c))
-    return coords
+        if not 0 <= p < len(groups):
+            raise ModelError(f"pixel {p} out of range ({len(groups)} pixels)")
+    return groups[ids].ravel()
 
 
 def _parse_constraint(text, width):
@@ -349,7 +347,7 @@ def _config_from_args(args) -> ReachConfig:
 def _spec_from_args(args) -> InputSpec:
     shape = _parse_shape(args.shape) if args.shape else None
     x = load_input_vector(args.input, shape)
-    coords = _parse_pixels(args.pixels, shape)
+    coords = _parse_pixels(args.pixels, shape, x.size)
     return InputSpec(x, tuple(coords), args.epsilon)
 
 

@@ -117,6 +117,8 @@ class InputSpec:
         base = np.ascontiguousarray(self.baseline, dtype=float).ravel()
         base.setflags(write=False)
         coords = tuple(int(c) for c in self.perturbed_coords)
+        if not coords:
+            raise ModelError("need at least one perturbed coordinate")
         if len(set(coords)) != len(coords):
             raise ModelError("perturbed coordinates must be distinct")
         for c in coords:
@@ -172,24 +174,21 @@ def _lower_conv(entry, width_in):
     if oh < 1 or ow < 1:
         raise ModelError("conv output would be empty")
 
+    # input coordinate under each filter tap, axes (oy, ox, ci, dy, dx);
+    # -1 marks taps that fall in the padding
+    padded = np.pad(np.arange(width_in).reshape(c, h, w),
+                    ((0, 0), (pad, pad), (pad, pad)), constant_values=-1)
+    py = np.arange(oh)[:, None] * stride + np.arange(fh)
+    px = np.arange(ow)[:, None] * stride + np.arange(fw)
+    col = padded[np.arange(c)[:, None, None], py[:, None, None, :, None],
+                 px[:, None, None, :]]
+    row, col, val = np.broadcast_arrays(
+        np.arange(k * oh * ow).reshape(k, oh, ow, 1, 1, 1), col,
+        filt[:, None, None])
+    keep = col >= 0
     W = np.zeros((k * oh * ow, width_in))
-    b = np.zeros(k * oh * ow)
-    for f in range(k):
-        for oy in range(oh):
-            for ox in range(ow):
-                row = f * oh * ow + oy * ow + ox
-                b[row] = bias[f]
-                for ci in range(c):
-                    for dy in range(fh):
-                        iy = oy * stride + dy - pad
-                        if not 0 <= iy < h:
-                            continue
-                        for dx in range(fw):
-                            ix = ox * stride + dx - pad
-                            if not 0 <= ix < w:
-                                continue
-                            W[row, ci * h * w + iy * w + ix] = filt[f, ci, dy, dx]
-    return W, b
+    W[row[keep], col[keep]] = val[keep]
+    return W, np.repeat(bias, oh * ow)
 
 
 def _batchnorm_affine(entry, width):
@@ -206,6 +205,46 @@ def _batchnorm_affine(entry, width):
         raise ModelError("batchnorm variance must be positive")
     d = parts["gamma"] / np.sqrt(parts["var"] + eps)
     return d, parts["beta"] - d * parts["mean"]
+
+
+def _append_layer(layers: list, entry, width: int, folder: Path) -> int:
+    """Lower one model-file entry onto ``layers``; return the new width."""
+    if not isinstance(entry, dict):
+        raise ModelError("layer entry must be a JSON object")
+    kind = entry.get("kind")
+    if kind == "relu":
+        w_in = int(entry.get("width_in", width))
+        if w_in != width:
+            raise ModelError(f"relu width {w_in} does not match running "
+                             f"width {width}")
+        w_out = int(entry.get("width_out", w_in))
+        layers.append(LayerDesc("relu", w_in, w_out))
+        return width
+    if kind == "maxpool":
+        pools = tuple(PoolSpec(tuple(p["dims"]), p["out"])
+                      for p in entry["pools"])
+        layers.append(LayerDesc("maxpool", width, len(pools), pools=pools))
+        return len(pools)
+    if kind == "conv":
+        W, b = _lower_conv(entry, width)
+    elif kind == "batchnorm":
+        d, shift = _batchnorm_affine(entry, width)
+        if layers and layers[-1].kind == "affine":
+            prev = layers.pop()
+            width = prev.width_in
+            W, b = prev.W * d[:, None], d * prev.b + shift
+        else:
+            W, b = np.diag(d), shift
+    elif kind in ("affine", "affine_ref"):
+        W = (np.asarray(entry["W"], dtype=float) if kind == "affine"
+             else _read_flrw(folder / entry["file"]))
+        if W.ndim != 2:
+            raise ModelError("affine W must be a matrix")
+        b = entry["b"]
+    else:
+        raise ModelError(f"unsupported kind {kind!r}")
+    layers.append(LayerDesc("affine", width, W.shape[0], W, b))
+    return W.shape[0]
 
 
 def load_model(path) -> Network:
@@ -229,47 +268,12 @@ def load_model(path) -> Network:
     layers: list[LayerDesc] = []
     width = input_width
     for pos, entry in enumerate(raw_layers):
-        kind = entry.get("kind")
-        if kind == "affine":
-            W = np.asarray(entry["W"], dtype=float)
-            b = np.asarray(entry["b"], dtype=float)
-            if W.ndim != 2:
-                raise ModelError(f"layer {pos}: affine W must be a matrix")
-            layers.append(LayerDesc("affine", width, W.shape[0], W, b))
-            width = W.shape[0]
-        elif kind == "affine_ref":
-            W = _read_flrw(path.parent / entry["file"])
-            b = np.asarray(entry["b"], dtype=float)
-            layers.append(LayerDesc("affine", width, W.shape[0], W, b))
-            width = W.shape[0]
-        elif kind == "conv":
-            W, b = _lower_conv(entry, width)
-            layers.append(LayerDesc("affine", width, W.shape[0], W, b))
-            width = W.shape[0]
-        elif kind == "batchnorm":
-            d, shift = _batchnorm_affine(entry, width)
-            if layers and layers[-1].kind == "affine":
-                prev = layers[-1]
-                layers[-1] = LayerDesc("affine", prev.width_in, width,
-                                       prev.W * d[:, None], d * prev.b + shift)
-            else:
-                layers.append(LayerDesc("affine", width, width,
-                                        np.diag(d), shift))
-        elif kind == "relu":
-            w_in = int(entry.get("width_in", width))
-            w_out = int(entry.get("width_out", w_in))
-            if w_in != width:
-                raise ModelError(f"layer {pos}: relu width {w_in} does not "
-                                 f"match running width {width}")
-            layers.append(LayerDesc("relu", w_in, w_out))
-        elif kind == "maxpool":
-            pools = tuple(PoolSpec(tuple(p["dims"]), p["out"])
-                          for p in entry["pools"])
-            layers.append(LayerDesc("maxpool", width, len(pools),
-                                    pools=pools))
-            width = len(pools)
-        else:
-            raise ModelError(f"layer {pos}: unsupported kind {kind!r}")
+        try:
+            width = _append_layer(layers, entry, width, path.parent)
+        except KeyError as e:
+            raise ModelError(f"layer {pos}: missing key {e}") from e
+        except (TypeError, ValueError) as e:  # ModelError, LatticeError too
+            raise ModelError(f"layer {pos}: {e}") from e
     return Network(tuple(layers), input_width, tuple(labels))
 
 
@@ -346,12 +350,9 @@ def embed_box(spec: InputSpec, lo, hi) -> LatticeSet:
     are full-width input vectors with unperturbed coordinates at baseline.
     region_vertices start out equal to vertices.
     """
-    coords = list(spec.perturbed_coords)
-    if not coords:
-        raise ModelError("need at least one perturbed coordinate")
     box = build_box_lattice(lo, hi)
     emb = np.tile(spec.baseline, (box.n_vertices, 1))
-    emb[:, coords] = box.vertices
+    emb[:, list(spec.perturbed_coords)] = box.vertices
     return LatticeSet(box.lattice, emb, emb.copy())
 
 

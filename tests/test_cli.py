@@ -1,6 +1,7 @@
 """CLI end-to-end tests: subcommands, exit codes, file formats."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -63,6 +64,26 @@ def test_reach_writes_result(tmp_path, capsys):
     assert set(doc) == {"mode", "relaxation", "sets", "set_count",
                         "wall_time_s", "truncated"}
     assert doc["mode"] == "exact" and len(doc["sets"]) == 4
+
+
+def test_reach_shape_addresses_pixels(tmp_path, capsys):
+    # --shape 2,2,2: pixel 1 is cell (0, 1), i.e. coordinates 1 and 5
+    doc = {"input_width": 8, "labels": ["a", "b"],
+           "layers": [{"kind": "affine", "W": [[1.0] * 8, [0.0] * 8],
+                       "b": [0, 0]}]}
+    model = write(tmp_path / "m.json", json.dumps(doc))
+    x = baseline_csv(tmp_path, [0.1 * i for i in range(8)])
+    out = tmp_path / "R.json"
+    argv = ["reach", "--model", model, "--input", x, "--shape", "2,2,2",
+            "--epsilon", "0.5", "--out", str(out), "--pixels"]
+    code, _, _ = run(argv + ["1"], capsys)
+    assert code == 0
+    region = np.array([r for s in json.loads(out.read_text())["sets"]
+                       for r in s["region"]])
+    moved = np.nonzero(np.ptp(region, axis=0) > 0)[0]
+    assert moved.tolist() == [1, 5]
+    code, _, err = run(argv + ["4"], capsys)
+    assert code == 4 and "out of range" in err
 
 
 def test_reach_timeout_exit_code(tmp_path, capsys):
@@ -162,6 +183,26 @@ def test_falsify_budget_exhausted_unknown(tmp_path, capsys):
     v = json.loads(stdout)
     assert (code, v["status"]) == (2, "UNKNOWN")
     assert v["final_margin"] > 0
+
+
+def test_falsify_ranks_pixels_like_per_pixel_norm(tmp_path, capsys, rng):
+    # the 24 pixels' gradients hold the same 4 values in every order, so the
+    # norms tie up to rounding and the visiting order pins the rounding of
+    # np.linalg.norm taken pixel by pixel
+    perms = list(itertools.permutations(range(4)))
+    g = rng.normal(size=4)[perms].T.ravel()  # (4, 4, 6) channel-major
+    doc = {"input_width": 96, "labels": ["a", "b"],
+           "layers": [{"kind": "affine", "W": [g.tolist(), [0.0] * 96],
+                       "b": [10.0, 0.0]}]}
+    model = write(tmp_path / "m.json", json.dumps(doc))
+    img = baseline_csv(tmp_path, [0.5] * 96, "img.csv")
+    code, stdout, _ = run(["falsify", "--model", model, "--image", img,
+                           "--shape", "4,4,6", "--epsilon", "0.01",
+                           "--max-pixels", "24"], capsys)
+    assert code == 2
+    norms = [np.linalg.norm(g.reshape(4, 24)[:, p]) for p in range(24)]
+    want = sorted(range(24), key=lambda p: -norms[p])
+    assert [r["pixel"] for r in json.loads(stdout)["per_pixel"]] == want
 
 
 def test_backtrack_subcommand(tmp_path, capsys):

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from latreach import (ModelError, InputSpec, load_model, forward, gradient,
-                      build_input_set, write_flrw, validate_set)
+from latreach import (ModelError, InputSpec, ReachConfig, load_model,
+                      forward, gradient, reach, build_input_set, write_flrw,
+                      validate_set)
 from latreach.cli import main
 from latreach.model import _read_flrw
 
@@ -104,6 +105,15 @@ def test_load_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ModelError):
         load_model(bad)
+    # malformed layer entries name the layer instead of leaking KeyError or
+    # AttributeError
+    for layer in [{"kind": "affine", "b": [0, 0]},
+                  {"kind": "conv", "in_shape": [1, 1, 2]},
+                  {"kind": "maxpool"},
+                  "relu"]:
+        doc = {"input_width": 2, "labels": ["a", "b"], "layers": [layer]}
+        with pytest.raises(ModelError, match="^layer 0: "):
+            load_model(write_model(tmp_path, doc))
 
 
 def test_conv_one_by_one_is_channel_mix(tmp_path):
@@ -125,8 +135,12 @@ def test_conv_one_by_one_is_channel_mix(tmp_path):
 
 def test_conv_matches_direct_convolution(tmp_path, rng):
     c, h, w = 2, 5, 4
+    # the last three: windows lying wholly in the padding, a stride that
+    # skips input rows and columns, and a non-square 1xk filter
     for stride, pad, fh, fw, k in [(1, 0, 3, 3, 3), (2, 1, 3, 3, 2),
-                                   (1, 1, 2, 2, 1), (2, 0, 2, 2, 4)]:
+                                   (1, 1, 2, 2, 1), (2, 0, 2, 2, 4),
+                                   (1, 3, 2, 2, 2), (3, 1, 2, 2, 3),
+                                   (1, 1, 1, 3, 2)]:
         filt = rng.normal(size=(k, c, fh, fw))
         bias = rng.normal(size=k)
         doc = {"input_width": c * h * w,
@@ -314,7 +328,7 @@ def test_input_set_dimension_cap():
         build_input_set(InputSpec(base, tuple(range(12)), 0.1))
 
 
-def test_input_spec_validation():
+def test_input_spec_validation(tmp_path):
     with pytest.raises(ModelError):
         InputSpec(np.zeros(3), (0, 0), 0.1)
     with pytest.raises(ModelError):
@@ -323,6 +337,10 @@ def test_input_spec_validation():
         InputSpec(np.zeros(3), (0,), -0.1)
     with pytest.raises(ModelError):
         build_input_set(InputSpec(np.zeros(3), (), 0.1))
+    net = load_model(write_model(tmp_path, {
+        "input_width": 2, "labels": ["a", "b"], "layers": [{"kind": "relu"}]}))
+    with pytest.raises(ModelError, match="at least one perturbed"):
+        reach(net, InputSpec(np.zeros(2), (), 0.1), ReachConfig(partitions=2))
 
 
 @pytest.mark.parametrize("pools", [
@@ -331,7 +349,10 @@ def test_input_spec_validation():
     [{"dims": [0, 1, 2], "out": 0}, {"dims": [3, 4, 5, 6], "out": 1}],
     [{"dims": [0, 1, 2, 3], "out": 0}, {"dims": [4, 5, 6, 7], "out": 2}],
     [],
-], ids=["overlap", "gap", "three_coords", "not_permutation", "empty"])
+    [{"dims": [0], "out": 0}, {"dims": [1, 2, 3, 4], "out": 1}],
+    [{"dims": [0, 1, 2, 3, 4], "out": 0}, {"dims": [5, 6, 7], "out": 1}],
+], ids=["overlap", "gap", "three_coords", "not_permutation", "empty",
+        "one_coord", "five_coords"])
 def test_maxpool_model_validation(tmp_path, capsys, pools):
     doc = {"input_width": 8, "labels": ["a", "b"],
            "layers": [{"kind": "maxpool", "pools": pools}]}
