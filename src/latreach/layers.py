@@ -66,10 +66,11 @@ def _bump(stats, key, n=1):
         stats[key] = stats.get(key, 0) + n
 
 
-def _pruned_empty(s: LatticeSet) -> bool:
-    # split children whose vertices all coincide are slivers of measure zero;
-    # genuine point sets (top_dim 0, e.g. after projections) are kept
-    if s.n_vertices == 0:
+def _pruned_empty(s: LatticeSet | None) -> bool:
+    # missing split children and those whose vertices all coincide (slivers
+    # of measure zero) are dropped; genuine point sets (top_dim 0, e.g.
+    # after projections) are kept
+    if s is None or s.n_vertices == 0:
         return True
     if s.lattice.top_dim == 0:
         return False
@@ -84,6 +85,23 @@ def affine_layer_reach(inputs, W, b):
     return [affine_transform(s, W, b) for s in inputs]
 
 
+def _check_selection(selection, s):
+    if selection is not None and selection.width != s.ambient_dim:
+        raise LatticeError("selection width does not match layer input")
+
+
+def _survivors(pos, neg, sel_pos, sel_neg):
+    """``(keep_pos, keep_neg)``: a split keeps each side whose winning
+    coordinate is selected (exact mode: both); if neither is, only the child
+    with more vertices (tie, or both missing: the positive child).
+    """
+    if sel_pos or sel_neg:
+        return sel_pos, sel_neg
+    pos_wins = (pos.n_vertices if pos is not None else -1) >= \
+               (neg.n_vertices if neg is not None else -1)
+    return pos_wins, not pos_wins
+
+
 def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
                      stats: dict | None = None):
     """Propagate sets through an elementwise ReLU layer.
@@ -91,13 +109,12 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     Per set, the neurons whose coordinate changes sign over the set are
     split on depth first (ascending index, positive child first);
     coordinates that never go positive are projected to zero in one batch.
-    With a ``selection``, splits on unselected neurons keep only the child
-    with more vertices (tie: the positive child).
+    With a ``selection``, splits on unselected neurons keep one child
+    (``_survivors``).
     """
     out = []
     for s in inputs:
-        if selection is not None and selection.width != s.ambient_dim:
-            raise LatticeError("selection width does not match layer input")
+        _check_selection(selection, s)
         out.extend(_relu_set(s, selection, stats))
     return out
 
@@ -128,22 +145,16 @@ def _relu_set(s, selection, stats):
         _bump(stats, "splits")
         # sliver pruning applies to the raw split children; the projection
         # below flattens the negative child on purpose and must not trigger it
-        if pos_s is not None and _pruned_empty(pos_s):
-            pos_s = None
-        if neg_s is not None and _pruned_empty(neg_s):
-            neg_s = None
+        pos_s, neg_s = (None if _pruned_empty(c) else c for c in (pos_s, neg_s))
         if neg_s is not None:
             neg_s = project_to_hyperplane(neg_s, k)
 
-        if selection is None or selection.selected[k]:
-            children = [pos_s, neg_s]
-        elif pos_s is None or neg_s is None:
-            children = [pos_s if neg_s is None else neg_s]
-        else:
-            children = [pos_s if pos_s.n_vertices >= neg_s.n_vertices
-                        else neg_s]
+        sel_k = selection is None or bool(selection.selected[k])
+        keep_pos, keep_neg = _survivors(pos_s, neg_s, sel_k, sel_k)
         # pushed in reverse so the positive child's subtree comes out first
-        work.extend((c, news[1:]) for c in reversed(children) if c is not None)
+        for c, kept in ((neg_s, keep_neg), (pos_s, keep_pos)):
+            if kept and c is not None:
+                work.append((c, news[1:]))
     return out
 
 
@@ -162,47 +173,29 @@ def _domain_chain(s, pool, k, selection, stats):
     set are decided by vertex signs (an all-tie comparison counts as won by
     the lower coordinate).  Returns None when the domain dies.
     """
-    cur = s
-    m = s.ambient_dim
     for i, j in pool.pairs():
         if k not in (i, j):
             continue
-        h = _difference_hyperplane(m, pool.dims[i], pool.dims[j])
-        cls = classify_vertices(cur, h)
+        h = _difference_hyperplane(s.ambient_dim, pool.dims[i], pool.dims[j])
+        cls = classify_vertices(s, h)
         want_pos = i == k
-        if not cls.has_neg:
-            if not want_pos:
+        if not (cls.has_pos and cls.has_neg):
+            if cls.has_neg == want_pos:
                 return None
             continue
-        if not cls.has_pos:
-            if want_pos:
-                return None
-            continue
-        sel_i = sel_j = True
-        if selection is not None:
-            sel_i = bool(selection.selected[pool.dims[i]])
-            sel_j = bool(selection.selected[pool.dims[j]])
-            # a split on a non-selected coordinate discards the side where
-            # that coordinate wins; no need to materialize it
-            if sel_i and not sel_j and not want_pos:
-                return None
-            if sel_j and not sel_i and want_pos:
-                return None
-        p, n = split_by_hyperplane(cur, h)
-        _bump(stats, "splits")
-        if sel_i and sel_j:
-            cur = p if want_pos else n
-        elif sel_i != sel_j:
-            cur = p if sel_i else n
-        else:
-            surv_pos = (p.n_vertices if p is not None else -1) >= \
-                       (n.n_vertices if n is not None else -1)
-            if surv_pos != want_pos:
-                return None
-            cur = p if surv_pos else n
-        if cur is None or _pruned_empty(cur):
+        sel_i, sel_j = ((True, True) if selection is None else
+                        selection.selected[[pool.dims[i], pool.dims[j]]])
+        # only the other coordinate is selected: _survivors keeps just its
+        # side, so the wanted side need not be materialized
+        if sel_i != sel_j and sel_i != want_pos:
             return None
-    return cur
+        p, n = split_by_hyperplane(s, h)
+        _bump(stats, "splits")
+        s = p if want_pos else n
+        if not _survivors(p, n, sel_i, sel_j)[not want_pos] or \
+                _pruned_empty(s):
+            return None
+    return s
 
 
 def _pool_domains(s, pool, selection, stats):
@@ -235,6 +228,7 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     for s in inputs:
         if max(pool.dims) >= s.ambient_dim:
             raise LatticeError("pool coordinate out of range")
+        _check_selection(selection, s)
         for piece, k in _pool_domains(s, pool, selection, stats):
             keep = [c for c in range(piece.ambient_dim) if c not in pool.dims]
             keep.insert(min(pool.out, len(keep)), pool.dims[k])
@@ -243,30 +237,25 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
 
 
 def pool_index(pools):
-    """Check that ``pools`` are disjoint and group them by window size.
-
-    Returns ``(groups, width)``.  ``groups`` is ``[(positions, dims), ...]``,
-    ascending in window size, with ``dims`` the ``(P, w)`` window
-    coordinates of the pools at ``positions`` in ``pools``; ``width`` is the
-    only input width the pools cover, or -1 if they leave a gap.  Raises
-    LatticeError when there is no pool, pools overlap, or the outputs are
-    not a permutation of 0..n-1.
+    """``(idx, width)`` of disjoint ``pools``: row ``r`` of the ``(P, 4)``
+    ``idx`` is the window of ``pools[r]``, padded with its last coordinate
+    (a repeat ties with it and loses, so it never crosses and never wins);
+    ``width`` is the input width the pools cover, or -1 if they leave a gap.
+    Raises LatticeError when there is no pool, pools overlap, or the
+    outputs are not a permutation of 0..n-1.
     """
     if not pools:
         raise LatticeError("maxpool layer needs at least one pool")
     if sorted(p.out for p in pools) != list(range(len(pools))):
         raise LatticeError("pool outputs must be a permutation of 0..n-1")
-    groups = []
-    for w in sorted({len(p.dims) for p in pools}):
-        pos = [i for i, p in enumerate(pools) if len(p.dims) == w]
-        groups.append((np.array(pos), np.array([pools[i].dims for i in pos])))
-    counts = np.bincount(np.concatenate([d.ravel() for _, d in groups]))
+    counts = np.bincount(np.concatenate([p.dims for p in pools]))
     if counts.max() > 1:
         raise LatticeError("pools overlap")
-    return groups, counts.size if counts.all() else -1
+    idx = np.array([p.dims + p.dims[-1:] * (4 - len(p.dims)) for p in pools])
+    return idx, counts.size if counts.all() else -1
 
 
-def _settled_winners(v, groups, n_pools):
+def _settled_winners(v, idx):
     """Each pool's winner on a set with vertex rows ``v``, in one array pass.
 
     A pool whose comparisons the set does not cross is settled with the
@@ -275,20 +264,16 @@ def _settled_winners(v, groups, n_pools):
     wins all its pairs.  A crossed pool gets -1, and so does every pool of a
     non-finite set, where ``v_i - v_j`` need not equal the classify value.
     """
-    won = np.full(n_pools, -1)
     if not np.isfinite(v).all():
-        return won
-    for pos, dims in groups:
-        w = dims.shape[1]
-        i, j = np.triu_indices(w, 1)  # every pair; their order is moot here
-        d = v[:, dims[:, i]] - v[:, dims[:, j]]
-        tol = ZERO_TOL * np.maximum(1.0, np.abs(d))
-        has_pos, has_neg = (d > tol).any(axis=0), (d < -tol).any(axis=0)
-        pair_winner = np.where(has_neg, j, i)
-        full = (pair_winner[:, :, None] == np.arange(w)).sum(axis=1) == w - 1
-        settled = np.where(full.any(axis=1), full.argmax(axis=1), -2)
-        won[pos] = np.where((has_pos & has_neg).any(axis=1), -1, settled)
-    return won
+        return np.full(len(idx), -1)
+    i, j = np.triu_indices(4, 1)  # every pair; their order is moot here
+    d = v[:, idx[:, i]] - v[:, idx[:, j]]
+    tol = ZERO_TOL * np.maximum(1.0, np.abs(d))
+    has_pos, has_neg = (d > tol).any(axis=0), (d < -tol).any(axis=0)
+    pair_winner = np.where(has_neg, j, i)
+    full = (pair_winner[:, :, None] == np.arange(4)).sum(axis=1) == 3
+    settled = np.where(full.any(axis=1), full.argmax(axis=1), -2)
+    return np.where((has_pos & has_neg).any(axis=1), -1, settled)
 
 
 def maxpool_layer_reach(inputs, pools,
@@ -304,19 +289,20 @@ def maxpool_layer_reach(inputs, pools,
     lexicographic order of the per-pool domains.
     """
     pools = list(pools)
-    groups, width = pool_index(pools)
+    idx, width = pool_index(pools)
 
     out = []
     for s in inputs:
         if s.ambient_dim != width:
             raise LatticeError("pools must cover the layer input coordinates")
+        _check_selection(selection, s)
         # (piece, winners of its settled pools or None, output columns)
         pending = [(s, None, [0] * len(pools))]
         for pi, pool in enumerate(pools):
             nxt = []
             for t, won, cols in pending:
                 if won is None:
-                    won = _settled_winners(t.vertices, groups, len(pools))
+                    won = _settled_winners(t.vertices, idx)
                 k = int(won[pi])
                 doms = (_pool_domains(t, pool, selection, stats) if k == -1
                         else [(t, k)] if k >= 0 else [])

@@ -54,6 +54,8 @@ class LayerDesc:
                                  f"map {self.width_in} -> {self.width_out}")
             if b.size != self.width_out:
                 raise ModelError("affine bias length mismatch")
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise ModelError("affine weights and bias must be finite")
             W.setflags(write=False)
             b.setflags(write=False)
             object.__setattr__(self, "W", W)
@@ -67,14 +69,13 @@ class LayerDesc:
                 raise ModelError("maxpool layers use 2x2 windows "
                                  "(pools of 4 coordinates)")
             try:
-                groups, width = pool_index(sorted(pools, key=lambda p: p.out))
+                idx, width = pool_index(sorted(pools, key=lambda p: p.out))
             except LatticeError as e:
                 raise ModelError(f"maxpool layer: {e}") from e
             if width != self.width_in:
                 raise ModelError("maxpool pools must cover the layer input")
             if self.width_out != len(pools):
                 raise ModelError("maxpool width_out must equal pool count")
-            (_, idx), = groups
             idx.setflags(write=False)
             object.__setattr__(self, "pools", pools)
             object.__setattr__(self, "pool_idx", idx)
@@ -116,6 +117,8 @@ class InputSpec:
     def __post_init__(self):
         base = np.ascontiguousarray(self.baseline, dtype=float).ravel()
         base.setflags(write=False)
+        if not np.isfinite(base).all():
+            raise ModelError("baseline must be finite")
         coords = tuple(int(c) for c in self.perturbed_coords)
         if not coords:
             raise ModelError("need at least one perturbed coordinate")
@@ -124,8 +127,8 @@ class InputSpec:
         for c in coords:
             if not 0 <= c < base.size:
                 raise ModelError(f"perturbed coordinate {c} out of range")
-        if not self.epsilon >= 0:
-            raise ModelError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ModelError("epsilon must be finite and nonnegative")
         object.__setattr__(self, "baseline", base)
         object.__setattr__(self, "perturbed_coords", coords)
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -272,7 +275,8 @@ def load_model(path) -> Network:
             width = _append_layer(layers, entry, width, path.parent)
         except KeyError as e:
             raise ModelError(f"layer {pos}: missing key {e}") from e
-        except (TypeError, ValueError) as e:  # ModelError, LatticeError too
+        # ModelError/LatticeError are ValueErrors; OSError: bad weight sidecar
+        except (TypeError, ValueError, OSError) as e:
             raise ModelError(f"layer {pos}: {e}") from e
     return Network(tuple(layers), input_width, tuple(labels))
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from latreach import (Hyperplane, InputSpec, LayerDesc, Network, ReachConfig,
                       ModelError, reach, backtrack, select_neurons,
@@ -127,6 +128,28 @@ def test_reach_soundness_and_completeness_random(rng):
         assert completeness_error(net, res.sets) <= 1e-7
         covered = check_soundness(net, spec, res.sets, 400, 1e-6, rng)
         assert covered.all()
+
+
+def test_exact_regions_tile_the_box():
+    # exact regions must cover the input box without overlap: a piece
+    # emitted twice or a dropped piece breaks the volume sum, and two
+    # overlapping regions put a centroid in both.  Seed 13 is skipped to
+    # keep the test short: its 269 6-d hulls cost about twice as much as
+    # the other nets together.
+    for seed in (s for s in range(20) if s != 13):
+        net, spec = random_toy_net(seed)
+        res = reach(net, spec, ReachConfig())
+        assert not res.truncated
+        cols = list(spec.perturbed_coords)
+        hulls = [ConvexHull(s.region_vertices[:, cols]) for s in res.sets]
+        box = (2 * spec.epsilon) ** len(cols)
+        total = sum(h.volume for h in hulls)
+        assert abs(total - box) <= 1e-9 * box, (seed, total, box)
+        for s in res.sets:
+            c = s.region_vertices[:, cols].mean(axis=0)
+            hits = sum(bool((h.equations[:, :-1] @ c + h.equations[:, -1]
+                             <= 1e-9).all()) for h in hulls)
+            assert hits == 1, (seed, hits)
 
 
 def test_reach_partitions_cover_same_image(rng):

@@ -99,6 +99,16 @@ def test_relu_selection_width_checked():
     s = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
     with pytest.raises(LatticeError):
         relu_layer_reach([s], NeuronSelection(np.ones(3, dtype=bool)))
+    # maxpool layers check it the same way, here on a crossed 4-pool
+    s = affine_transform(s, np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1]]),
+                         np.zeros(4))
+    pool = PoolSpec((0, 1, 2, 3), 0)
+    for width in (2, 9):
+        sel = NeuronSelection(np.ones(width, dtype=bool))
+        with pytest.raises(LatticeError, match="selection width"):
+            maxpool_pool_reach([s], pool, sel)
+        with pytest.raises(LatticeError, match="selection width"):
+            maxpool_layer_reach([s], [pool], sel)
 
 
 def test_relu_fast_none_selected():

@@ -114,6 +114,21 @@ def test_load_errors(tmp_path):
         doc = {"input_width": 2, "labels": ["a", "b"], "layers": [layer]}
         with pytest.raises(ModelError, match="^layer 0: "):
             load_model(write_model(tmp_path, doc))
+    # a dangling weight sidecar and non-finite weights: inline, in a
+    # sidecar, or from a folded batch-norm
+    write_flrw(tmp_path / "inf.flrw", [[np.inf, 0.0], [0.0, 1.0]])
+    for layers in [[{"kind": "affine_ref", "file": "nope.flrw", "b": [0, 0]}],
+                   [{"kind": "affine", "W": [[np.nan, 0], [0, 1]],
+                     "b": [0, 0]}],
+                   [{"kind": "affine", "W": [[1, 0], [0, 1]],
+                     "b": [0, np.inf]}],
+                   [{"kind": "affine_ref", "file": "inf.flrw", "b": [0, 0]}],
+                   [{"kind": "affine", "W": [[1, 1], [1, 1]], "b": [1, 1]},
+                    {"kind": "batchnorm", "mean": [-1, -1], "var": [1, 1],
+                     "gamma": [np.inf, 1], "beta": [0, 0]}]]:
+        doc = {"input_width": 2, "labels": ["a", "b"], "layers": layers}
+        with pytest.raises(ModelError, match="^layer [01]: "):
+            load_model(write_model(tmp_path, doc))
 
 
 def test_conv_one_by_one_is_channel_mix(tmp_path):
@@ -335,6 +350,11 @@ def test_input_spec_validation(tmp_path):
         InputSpec(np.zeros(3), (5,), 0.1)
     with pytest.raises(ModelError):
         InputSpec(np.zeros(3), (0,), -0.1)
+    for base, eps in [(np.zeros(2), np.inf), (np.zeros(2), np.nan),
+                      (np.array([0.0, np.inf]), 0.1),
+                      (np.array([np.nan, 0.0]), 0.1)]:
+        with pytest.raises(ModelError, match="finite"):
+            InputSpec(base, (0, 1), eps)
     with pytest.raises(ModelError):
         build_input_set(InputSpec(np.zeros(3), (), 0.1))
     net = load_model(write_model(tmp_path, {
