@@ -14,6 +14,7 @@ import argparse
 import csv
 import gc
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -25,8 +26,9 @@ import numpy as np
 from .lattice import ZERO_TOL, Hyperplane
 from .model import (Network, InputSpec, ModelError, load_model, forward,
                     gradient)
-from .engine import (ReachConfig, reach, backtrack, result_to_dict,
-                     sets_from_dict)
+from .engine import (ReachConfig, reach, backtrack, write_result,
+                     iter_set_records, sets_from_dict)
+from .engine import result_to_dict  # noqa: F401  (perfbench/tracer.py wraps it)
 
 EXIT_CODES = {"SAFE": 0, "UNSAFE": 1, "UNKNOWN": 2, "TIMEOUT": 3}
 MAX_WITNESSES = 10
@@ -410,22 +412,32 @@ def _gc_paused():
 
 
 def _write_result(path, res, cfg: ReachConfig) -> None:
-    with _gc_paused():
-        text = json.dumps(result_to_dict(res, cfg.mode, cfg.relaxation))
-    Path(path).write_text(text)
+    """Dump ``res`` to a sibling temp file, then move it onto ``path``: a
+    failed dump leaves whatever was at ``path`` before."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with _gc_paused(), open(tmp, "w") as f:
+            write_result(f, res, cfg.mode, cfg.relaxation)
+        os.replace(tmp, path)
+    except BaseException as e:
+        tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename is not None:
+            raise OSError(e.errno, e.strerror, str(path)) from e  # name --out
+        raise
 
 
 def _read_sets(path, set_id: int | None = None) -> list:
-    """Rebuild the sets of a result dump, or only set ``set_id`` of it."""
+    """Rebuild the sets of a result dump, or only set ``set_id`` of it, one
+    record at a time; the whole file is parsed either way."""
+    sets = []
+    n = 0
     with _gc_paused():
-        recs = json.loads(Path(path).read_text())["sets"]
-        if set_id is not None:
-            if not 0 <= set_id < len(recs):
-                raise ModelError(f"set id {set_id} out of range "
-                                 f"({len(recs)} sets)")
-            recs = recs[set_id:set_id + 1]
-        sets = sets_from_dict({"sets": recs})
-        del recs  # free the parsed tree before the collector resumes
+        for n, rec in enumerate(iter_set_records(path), 1):
+            if set_id is None or n - 1 == set_id:
+                sets += sets_from_dict({"sets": [rec]})
+    if set_id is not None and not 0 <= set_id < n:
+        raise ModelError(f"set id {set_id} out of range ({n} sets)")
     return sets
 
 

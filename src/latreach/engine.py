@@ -1,4 +1,5 @@
-"""Whole-network reachability: exact/fast runs, partitioning, backtracking.
+"""Whole-network reachability: exact/fast runs, partitioning, backtracking
+and result dumps.
 
 ``reach`` folds a list of sets through the network layer by layer.  The
 input box can be partitioned (repeated bisection of the widest perturbed
@@ -13,6 +14,8 @@ result is flagged truncated.
 
 from __future__ import annotations
 
+import json
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -200,16 +203,136 @@ def backtrack(result_set: LatticeSet, constraints) -> LatticeSet | None:
     return LatticeSet(cur.lattice, cur.region_vertices, cur.region_vertices)
 
 
+def _pinned_scalars(result: ReachResult, mode: str, relaxation: float):
+    """The pinned scalar keys of a result dump, in order: those before
+    ``sets`` and those after it."""
+    return ({"mode": mode, "relaxation": relaxation},
+            {"set_count": result.set_count, "wall_time_s": result.wall_time,
+             "truncated": result.truncated})
+
+
 def result_to_dict(result: ReachResult, mode: str, relaxation: float) -> dict:
     """JSON form of a result; set records carry faces for later backtracking."""
-    return {
-        "mode": mode,
-        "relaxation": relaxation,
-        "sets": [set_to_dict(s) for s in result.sets],
-        "set_count": result.set_count,
-        "wall_time_s": result.wall_time,
-        "truncated": result.truncated,
-    }
+    head, tail = _pinned_scalars(result, mode, relaxation)
+    return {**head, "sets": [set_to_dict(s) for s in result.sets], **tail}
+
+
+def write_result(f, result: ReachResult, mode: str, relaxation: float) -> None:
+    """Write ``json.dumps(result_to_dict(...))`` to the text file ``f`` one
+    set record at a time, never holding more than one record's tree."""
+    head, tail = _pinned_scalars(result, mode, relaxation)
+    f.write(json.dumps(head)[:-1] + ', "sets": [')
+    sep = ""
+    for s in result.sets:
+        f.write(sep)
+        f.write(json.dumps(set_to_dict(s)))
+        sep = ", "
+    f.write("], " + json.dumps(tail)[1:])
+
+
+_BLANKS = re.compile(r"[ \t\n\r]*")
+_CHUNK = 1 << 16  # characters read at a time by iter_set_records
+_NUMBER_TAIL = "0123456789.eE+-"
+
+
+class _Window:
+    """The unread part of a text file, refilled on demand and consumed one
+    JSON value or one structural character at a time."""
+
+    def __init__(self, f):
+        self.f, self.buf, self.pos, self.eof = f, "", 0, False
+        self.decode = json.JSONDecoder().raw_decode
+
+    def _fill(self) -> bool:
+        """Drop what is consumed and read at least as much as is left, so a
+        large value costs linear time; False at the end of the file."""
+        more = self.f.read(max(_CHUNK, len(self.buf) - self.pos))
+        self.buf, self.pos = self.buf[self.pos:] + more, 0
+        self.eof = not more
+        return not self.eof
+
+    def fail(self, what: str):
+        raise json.JSONDecodeError(f"Expecting {what}", self.buf, self.pos)
+
+    def peek(self) -> str:
+        """The next non-blank character, not consumed ('' at the end)."""
+        while True:
+            self.pos = _BLANKS.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if not self._fill():
+                return ""
+
+    def take(self, allowed: str, what: str) -> str:
+        """Consume the next non-blank character, one of ``allowed``."""
+        c = self.peek()
+        if not c or c not in allowed:
+            self.fail(what)
+        self.pos += 1
+        return c
+
+    def value(self):
+        """Decode the next value.  The window may end inside it, and a cut
+        number still decodes, so a value counts only when the window holds
+        a next character that cannot continue a number."""
+        self.peek()
+        while True:
+            try:
+                val, end = self.decode(self.buf, self.pos)
+                if self.eof or self.buf[end:end + 1] not in _NUMBER_TAIL:
+                    self.pos = end
+                    return val
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            self._fill()
+
+    def entries(self, close: str):
+        """Step through a comma-separated sequence whose opening bracket is
+        consumed: yield before each entry, consume ``close`` at the end."""
+        if self.peek() == close:
+            self.pos += 1
+            return
+        while True:
+            yield
+            if self.take("," + close, "',' delimiter") == close:
+                return
+
+
+def iter_set_records(path):
+    """Yield the records of the ``sets`` array of a result dump one by one.
+
+    The file is read in chunks and every other value is decoded and
+    dropped, so memory holds one chunk and one record, never the whole
+    document.  Keys may come in any order and with any whitespace.  Any
+    malformed JSON raises the ``json.JSONDecodeError`` that ``json.loads``
+    gives for the file; a document without ``sets`` raises KeyError.
+    """
+    found = False
+    with open(path) as f:
+        w = _Window(f)
+        try:
+            w.take("{", "'{'")
+            for _ in w.entries("}"):
+                key = w.value()
+                if not isinstance(key, str):
+                    w.fail("property name enclosed in double quotes")
+                w.take(":", "':' delimiter")
+                if key != "sets":
+                    w.value()
+                    continue
+                found = True
+                w.take("[", "'['")
+                for _ in w.entries("]"):
+                    yield w.value()
+            if w.peek():
+                w.fail("end of data")
+        except json.JSONDecodeError:
+            f.seek(0)
+            json.loads(f.read())  # raises with json.loads' message, if any
+            raise
+    if not found:
+        raise KeyError("sets")
 
 
 def sets_from_dict(doc: dict) -> list:

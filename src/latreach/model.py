@@ -129,6 +129,12 @@ class InputSpec:
                 raise ModelError(f"perturbed coordinate {c} out of range")
         if not 0 <= self.epsilon < np.inf:
             raise ModelError("epsilon must be finite and nonnegative")
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers = base[list(coords)]
+            width = (centers + self.epsilon) - (centers - self.epsilon)
+        if not np.isfinite(width).all():
+            raise ModelError("baseline +- epsilon and the box width must be "
+                             "finite")
         object.__setattr__(self, "baseline", base)
         object.__setattr__(self, "perturbed_coords", coords)
         object.__setattr__(self, "epsilon", float(self.epsilon))

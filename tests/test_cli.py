@@ -3,13 +3,18 @@
 import csv
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from latreach import ModelError
-from latreach.cli import main, _hull2d, load_input_vector, _parse_constraint
+import latreach.engine
+from latreach import ModelError, ReachConfig, ReachResult, reach
+from latreach.cli import (main, _hull2d, load_input_vector, _parse_constraint,
+                          _read_sets, _write_result)
+from latreach.engine import iter_set_records, result_to_dict
+from conftest import random_toy_net
 
 
 def write(path, text):
@@ -271,6 +276,174 @@ def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     code, _, err = run(["project", "--result", str(out), "--axes", "0,1",
                         "--out", str(tmp_path / "p.csv")], capsys)
     assert code == 4 and message in err
+
+
+def fixed_result(sets, truncated=False):
+    """A ReachResult with a fixed wall time, so two dumps of it compare."""
+    return ReachResult(list(sets), len(sets), 0.125, 1, truncated)
+
+
+@pytest.mark.parametrize("case", ["truncated", "one_set", "exact_run"])
+def test_streamed_dump_is_the_whole_document(tmp_path, case):
+    net, spec = random_toy_net(22)
+    sets = reach(net, spec, ReachConfig()).sets
+    assert len(sets) == 65
+    res, cfg = {
+        "truncated": (fixed_result([], True), ReachConfig()),
+        "one_set": (fixed_result(sets[:1]),
+                    ReachConfig(mode="fast", relaxation=0.3)),
+        "exact_run": (fixed_result(sets), ReachConfig()),
+    }[case]
+    out = tmp_path / "R.json"
+    _write_result(out, res, cfg)
+    assert out.read_text() == json.dumps(
+        result_to_dict(res, cfg.mode, cfg.relaxation))
+    assert [p.name for p in tmp_path.iterdir()] == ["R.json"]
+
+
+@pytest.mark.parametrize("before", [None, "old dump"])
+def test_failed_dump_leaves_out_untouched(tmp_path, monkeypatch, before):
+    net, spec = random_toy_net(5)
+    res = fixed_result(reach(net, spec, ReachConfig()).sets)
+    out = tmp_path / "R.json"
+    if before is not None:
+        out.write_text(before)
+    calls = []
+    to_dict = latreach.engine.set_to_dict
+
+    def second_call_fails(s):
+        calls.append(s)
+        if len(calls) == 2:
+            raise RuntimeError("disk full")
+        return to_dict(s)
+
+    monkeypatch.setattr(latreach.engine, "set_to_dict", second_call_fails)
+    with pytest.raises(RuntimeError, match="disk full"):
+        _write_result(out, res, ReachConfig())
+    assert len(calls) == 2
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if before is None else ["R.json"])
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "a_dir"])
+def test_unwritable_out_names_out(tmp_path, capsys, target):
+    model = model_relu_quadrants(tmp_path)
+    x = baseline_csv(tmp_path, [0.0, 0.0])
+    out = tmp_path / "nodir" / "R.json"
+    if target == "a_dir":
+        out = tmp_path / "R.json"
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run(["reach", "--model", model, "--input", x, "--pixels",
+                        "0,1", "--epsilon", "1.0", "--out", str(out)], capsys)
+    assert code == 4 and err.strip().endswith(f"directory: {str(out)!r}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def reach_quadrants(tmp_path, capsys):
+    model = model_relu_quadrants(tmp_path)
+    x = baseline_csv(tmp_path, [0.0, 0.0])
+    out = tmp_path / "R.json"
+    code, _, _ = run(["reach", "--model", model, "--input", x, "--pixels",
+                      "0,1", "--epsilon", "1.0", "--out", str(out)], capsys)
+    assert code == 0
+    return out
+
+
+def backtrack_and_project(dump, tmp_path, capsys):
+    """Every command's exit code and output on one dump."""
+    got = []
+    for sid in range(4):
+        got.append(run(["backtrack", "--result", str(dump), "--set-id",
+                        str(sid), "--constraint", "1-0>=0"], capsys))
+    csv_path = tmp_path / "p.csv"
+    code, stdout, err = run(["project", "--result", str(dump), "--axes",
+                             "0,1", "--out", str(csv_path)], capsys)
+    got.append((code, stdout.replace(str(csv_path), "P"), err))
+    got.append(csv_path.read_text())
+    return got
+
+
+def test_dump_reader_takes_any_layout(tmp_path, capsys):
+    out = reach_quadrants(tmp_path, capsys)
+    want = backtrack_and_project(out, tmp_path, capsys)
+    assert [g[0] for g in want[:5]] == [0] * 5
+    doc = json.loads(out.read_text())
+    sets_last = {k: v for k, v in doc.items() if k != "sets"}
+    sets_last["sets"] = doc["sets"]
+    for text in (json.dumps(doc, indent=2), json.dumps(sets_last),
+                 json.dumps(sets_last, indent="\t", separators=(" ,", " : "))):
+        again = tmp_path / "again.json"
+        again.write_text(text)
+        assert backtrack_and_project(again, tmp_path, capsys) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_dump_reader_window_sizes(tmp_path, capsys, monkeypatch, chunk):
+    # values cut at every place by the read window, numbers included
+    out = reach_quadrants(tmp_path, capsys)
+    sets = json.loads(out.read_text())["sets"]
+    doc = {"set_count": 4, "wall_time_s": 0.125,
+           "other": [1.5e-07, {"sets": None}], "sets": sets, "truncated": 12}
+    out.write_text(json.dumps(doc, indent=1))
+    monkeypatch.setattr(latreach.engine, "_CHUNK", chunk)
+    assert list(iter_set_records(out)) == sets
+
+
+@pytest.mark.parametrize("cut", ["after_set_0", "half", "last_byte"])
+def test_cut_dump_exits_4(tmp_path, capsys, cut):
+    out = reach_quadrants(tmp_path, capsys)
+    text = out.read_text()
+    end = {"after_set_0": text.index('}, {"faces"') + 1,
+           "half": len(text) // 2, "last_byte": len(text) - 1}[cut]
+    out.write_text(text[:end])
+    code, _, err = run(["backtrack", "--result", str(out), "--set-id", "0",
+                        "--constraint", "1-0>=0"], capsys)
+    assert code == 4 and "line 1 column" in err
+    code, _, err = run(["project", "--result", str(out), "--axes", "0,1",
+                        "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 4 and "line 1 column" in err
+
+
+def test_empty_dump_set_id_out_of_range(tmp_path, capsys):
+    dump = write(tmp_path / "R.json", '{"sets": []}')
+    code, _, err = run(["backtrack", "--result", dump, "--set-id", "0",
+                        "--constraint", "1-0>=0"], capsys)
+    assert code == 4 and "set id 0 out of range (0 sets)" in err
+    code, stdout, _ = run(["project", "--result", dump, "--axes", "0,1",
+                           "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 0 and json.loads(stdout)["sets"] == 0
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_write_and_read_hold_no_whole_document(tmp_path):
+    # 155 exact sets, a 1 MB dump: the write must not hold a tree of the
+    # whole document, nor the read the whole text next to such a tree
+    net, spec = random_toy_net(281)
+    res = reach(net, spec, ReachConfig())
+    assert res.set_count == 155
+    out = tmp_path / "R.json"
+    peak = traced_peak(_write_result, out, res, ReachConfig())
+    size = out.stat().st_size
+    assert peak < size
+    k = 100
+    peak = traced_peak(_read_sets, out, k)
+    assert peak < 2 * size
+    s, = _read_sets(out, k)
+    assert np.array_equal(s.vertices, res.sets[k].vertices)
+    assert np.array_equal(s.region_vertices, res.sets[k].region_vertices)
 
 
 def test_project_subcommand(tmp_path, capsys):

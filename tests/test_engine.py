@@ -1,12 +1,14 @@
 """End-to-end reachability runs, neuron selection, backtracking, dumps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 from latreach import (Hyperplane, InputSpec, LayerDesc, Network, ReachConfig,
                       ModelError, reach, backtrack, select_neurons,
-                      result_to_dict, sets_from_dict, validate_set)
+                      result_to_dict, sets_from_dict, validate_set, verify)
 from conftest import (batch_forward, check_soundness, completeness_error,
                       dedup_vertex_set, in_union, random_toy_net)
 
@@ -99,6 +101,20 @@ def test_reach_config_validation():
         ReachConfig(timeout=0.0)
     with pytest.raises(ValueError):
         ReachConfig(workers=0)
+
+
+def test_input_box_width_must_be_finite():
+    # the box [1 - eps, 1 + eps] x [-eps, eps] is 2*eps wide
+    net = relu_net(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), ("a", "b"))
+    for eps in (1e308, 9e307):
+        with pytest.raises(ModelError, match="finite"):
+            InputSpec([1, 0], (0, 1), eps)
+    with pytest.raises(ModelError, match="finite"):
+        InputSpec([1.7e308, 0], (0, 1), 1e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = verify(net, InputSpec([1, 0], (0, 1), 1e200), ReachConfig())
+    assert verdict.status == "UNSAFE" and len(verdict.witnesses) == 3
 
 
 def test_reach_timeout_truncates():
