@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import ZERO_TOL, Hyperplane
+from .lattice import ZERO_TOL, coord_hyperplane
 from .model import (Network, InputSpec, ModelError, load_model, forward,
                     gradient)
 from .engine import (ReachConfig, reach, backtrack, write_result,
@@ -244,19 +244,39 @@ def _parse_axis(expr: str):
     return ("coord", int(expr))
 
 
+def _parse_axes(axes):
+    """``(kind, index)`` of each of two axis expressions, plus the class
+    that ``second`` ranks against."""
+    if len(axes) != 2:
+        raise ModelError("axes must name exactly two expressions")
+    ax = [_parse_axis(a) for a in axes]
+    ref = next((arg for kind, arg in ax if kind == "class"), None)
+    if ref is None and ("second", None) in ax:
+        raise ModelError("second_highest needs a class:c axis as reference")
+    return ax, ref
+
+
 def _axis_values(V: np.ndarray, axis, ref_class):
     kind, arg = axis
     if kind == "second":
-        if ref_class is None:
-            raise ValueError("second_highest needs a class:c axis as reference")
         return np.delete(V, ref_class, axis=1).max(axis=1)
     return V[:, arg]
 
 
 def emit_projection(sets, axes, path) -> None:
-    """Write per-set 2D hull polygons as CSV rows (set_id,vertex_order,x,y)."""
-    ax = (_parse_axis(axes[0]), _parse_axis(axes[1]))
-    ref = next((arg for kind, arg in ax if kind == "class"), None)
+    """Write per-set 2D hull polygons as CSV rows (set_id,vertex_order,x,y).
+
+    Every axis is checked against every set before ``path`` is opened, so
+    bad axes leave ``path`` untouched.
+    """
+    ax, ref = _parse_axes(axes)
+    for s in sets:
+        for kind, arg in ax:
+            if arg is not None and not 0 <= arg < s.ambient_dim:
+                raise ModelError(f"axis index {arg} out of range "
+                                 f"({s.ambient_dim} coordinates)")
+            if kind == "second" and s.ambient_dim < 2:
+                raise ModelError("second_highest needs two coordinates")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["set_id", "vertex_order", "x", "y"])
@@ -309,10 +329,7 @@ def _parse_constraint(text, width):
     j, c = int(j_txt), int(c_txt)
     if not (0 <= j < width and 0 <= c < width):
         raise ModelError(f"constraint indices out of range in {text!r}")
-    a = np.zeros(width)
-    a[j] += 1.0
-    a[c] -= 1.0
-    return Hyperplane(a, -threshold)
+    return coord_hyperplane(width, j, c, -threshold)
 
 
 def _add_reach_args(sub):
@@ -492,11 +509,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "project":
-        sets = _read_sets(args.result)
         axes = args.axes.split(",")
-        if len(axes) != 2:
-            raise ModelError("axes must name exactly two expressions")
-        emit_projection(sets, (axes[0], axes[1]), args.out)
+        _parse_axes(axes)  # malformed axes fail before the dump is read
+        sets = _read_sets(args.result)
+        emit_projection(sets, axes, args.out)
         print(json.dumps({"sets": len(sets), "out": args.out}))
         return 0
 

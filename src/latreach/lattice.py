@@ -31,11 +31,7 @@ import numpy as np
 ZERO_TOL = 1e-9
 MAX_BOX_DIM = 10
 
-POSITIVE = 1
-NEGATIVE = -1
-ZERO = 0
-
-# split sign bits indexed by label: ZERO -> 0, POSITIVE -> 1, NEGATIVE -> 2
+# split sign bits indexed by label: 0 -> 0, +1 -> 1, -1 -> 2
 _SIGN_BITS = np.array([0, 1, 2], dtype=np.int8)
 
 
@@ -52,31 +48,44 @@ class Hyperplane:
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.normal, dtype=float)
+        b = float(self.offset)
         if a.ndim != 1 or a.size == 0:
             raise LatticeError("hyperplane normal must be a non-empty vector")
         if not np.any(a):
             raise LatticeError("hyperplane normal must be nonzero")
+        if not (np.isfinite(a).all() and np.isfinite(b)):
+            raise LatticeError("hyperplane normal and offset must be finite")
         a.setflags(write=False)
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", b)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Signed values ``a.x + b`` for a point or a matrix of row points."""
         return points @ self.normal + self.offset
 
 
-def axis_hyperplane(ambient_dim: int, coord: int) -> Hyperplane:
-    """The coordinate hyperplane ``x[coord] = 0`` in ``ambient_dim`` dims."""
+def coord_hyperplane(ambient_dim: int, i: int, j: int | None = None,
+                     offset: float = 0.0) -> Hyperplane:
+    """``x[i] - x[j] + offset = 0``, or ``x[i] + offset = 0`` without ``j``."""
     a = np.zeros(ambient_dim)
-    a[coord] = 1.0
-    return Hyperplane(a, 0.0)
+    a[i] += 1.0
+    if j is not None:
+        a[j] -= 1.0
+    return Hyperplane(a, offset)
+
+
+def sides(values, scale):
+    """``(pos, neg)`` masks of ``values`` strictly above and strictly below
+    the zero band ``ZERO_TOL * max(1, scale)``."""
+    tol = ZERO_TOL * np.maximum(1.0, scale)
+    return values > tol, values < -tol
 
 
 @dataclass(frozen=True)
 class VertexClassification:
     """Per-vertex position relative to a hyperplane.
 
-    ``labels`` holds POSITIVE / NEGATIVE / ZERO per vertex row; ``values``
+    ``labels`` holds +1 / -1 / 0 per vertex row (``sides``); ``values``
     keeps the raw signed distances ``a.v + b`` for later interpolation.
     """
 
@@ -90,7 +99,8 @@ class FaceLattice:
     """Combinatorial face DAG of a bounded convex set.
 
     Children are stored in CSR form over face positions.  Faces are sorted by
-    ascending dimension with the single top face last; ``ids`` are stable
+    ascending dimension with the single top face last, so ``dims`` gives
+    ``n_vertices`` (the 0-faces) and ``top_dim``; ``ids`` are stable
     across splits (kept faces keep their id, new faces draw from
     ``next_id``).  Instances are treated as immutable once built.
     """
@@ -98,20 +108,21 @@ class FaceLattice:
     __slots__ = ("ids", "dims", "child_ptr", "child_idx", "n_vertices",
                  "top_dim", "next_id", "_dim_start")
 
-    def __init__(self, ids, dims, child_ptr, child_idx, n_vertices, top_dim,
-                 next_id):
+    def __init__(self, ids, dims, child_ptr, child_idx, next_id):
         self.ids = np.ascontiguousarray(ids, dtype=np.int64)
         self.dims = np.ascontiguousarray(dims, dtype=np.int16)
         self.child_ptr = np.ascontiguousarray(child_ptr, dtype=np.int64)
         self.child_idx = np.ascontiguousarray(child_idx, dtype=np.int32)
-        self.n_vertices = int(n_vertices)
-        self.top_dim = int(top_dim)
         self.next_id = int(next_id)
         for arr in (self.ids, self.dims, self.child_ptr, self.child_idx):
             arr.setflags(write=False)
+        if self.dims.size == 0:
+            raise LatticeError("empty lattice")
         # dim k occupies positions dim_start[k]:dim_start[k+1]
+        self.top_dim = int(self.dims[-1])
         self._dim_start = np.searchsorted(
-            self.dims, np.arange(self.top_dim + 2))
+            self.dims, np.arange(max(self.top_dim, 0) + 2))
+        self.n_vertices = int(self._dim_start[1])
 
     @property
     def n_faces(self) -> int:
@@ -130,7 +141,7 @@ class FaceLattice:
 
     def __getstate__(self):
         return (self.ids, self.dims, self.child_ptr, self.child_idx,
-                self.n_vertices, self.top_dim, self.next_id)
+                self.next_id)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -210,11 +221,9 @@ def build_box_lattice(lower, upper) -> LatticeSet:
     idx = np.fromiter(itertools.chain.from_iterable(children),
                       dtype=np.int32, count=int(ptr[-1]))
 
-    n_vertices = 2 ** d
-    lat = FaceLattice(np.arange(len(tags)), dims, ptr, idx,
-                      n_vertices, d, len(tags))
-    verts = np.empty((n_vertices, d))
-    for i, t in enumerate(tags[:n_vertices]):
+    lat = FaceLattice(np.arange(len(tags)), dims, ptr, idx, len(tags))
+    verts = np.empty((lat.n_vertices, d))
+    for i, t in enumerate(tags[:lat.n_vertices]):
         verts[i] = np.where(np.array(t) == HIGH, hi, lo)
     return LatticeSet(lat, verts, verts.copy())
 
@@ -246,12 +255,9 @@ def classify_vertices(s: LatticeSet, h: Hyperplane) -> VertexClassification:
         raise LatticeError("hyperplane dimension does not match set")
     av = s.vertices @ h.normal
     vals = av + h.offset
-    tol = ZERO_TOL * np.maximum(1.0, np.abs(av) + abs(h.offset))
-    labels = np.zeros(s.n_vertices, dtype=np.int8)
-    labels[vals > tol] = POSITIVE
-    labels[vals < -tol] = NEGATIVE
-    return VertexClassification(labels, bool((labels > 0).any()),
-                                bool((labels < 0).any()), vals)
+    pos, neg = sides(vals, np.abs(av) + abs(h.offset))
+    return VertexClassification(pos.astype(np.int8) - neg, bool(pos.any()),
+                                bool(neg.any()), vals)
 
 
 def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
@@ -390,8 +396,7 @@ def _assemble_side(s, keep, owner, new_dims, extra_owner, extra_kid,
     old_v = keep[:lat.n_vertices]
     verts = np.concatenate((s.vertices[old_v], new_verts))
     regions = np.concatenate((s.region_vertices[old_v], new_regions))
-    out = FaceLattice(ids, dims, ptr, kids, verts.shape[0], int(dims[-1]),
-                      lat.next_id + n_new)
+    out = FaceLattice(ids, dims, ptr, kids, lat.next_id + n_new)
     return LatticeSet(out, verts, regions)
 
 
@@ -428,10 +433,6 @@ def validate_lattice(lat: FaceLattice) -> None:
         raise LatticeError("faces are not sorted by ascending dimension")
     if np.any(lat.dims[:lat.n_vertices] != 0):
         raise LatticeError("vertex positions contain non-vertex faces")
-    if lat.n_vertices < nf and lat.dims[lat.n_vertices] == 0:
-        raise LatticeError("vertex count does not cover all 0-faces")
-    if int(lat.dims[-1]) != lat.top_dim:
-        raise LatticeError("last face is not of top dimension")
     if int(np.count_nonzero(lat.dims == lat.top_dim)) != 1:
         raise LatticeError("top face is not unique")
     if np.any(lat.ids >= lat.next_id):
@@ -513,9 +514,7 @@ def set_from_dict(d: dict) -> LatticeSet:
     at = np.minimum(np.searchsorted(sorted_ids, kid_ids), ids.size - 1)
     if np.any(sorted_ids[at] != kid_ids):
         raise LatticeError("child id names no face")
-    n_vertices = int(np.count_nonzero(dims == 0))
-    lat = FaceLattice(ids, dims, ptr, by_id[at], n_vertices,
-                      int(dims[-1]) if dims.size else 0, int(ids.max()) + 1)
-    verts = np.asarray(d["vertices"], dtype=float).reshape(n_vertices, -1)
-    regions = np.asarray(d["region"], dtype=float).reshape(n_vertices, -1)
+    lat = FaceLattice(ids, dims, ptr, by_id[at], int(ids.max(initial=-1)) + 1)
+    verts = np.asarray(d["vertices"], dtype=float).reshape(lat.n_vertices, -1)
+    regions = np.asarray(d["region"], dtype=float).reshape(lat.n_vertices, -1)
     return LatticeSet(lat, verts, regions)

@@ -16,9 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeError, LatticeSet, Hyperplane, axis_hyperplane,
+from .lattice import (LatticeError, LatticeSet, coord_hyperplane, sides,
                       classify_vertices, eliminate_dims, affine_transform,
                       project_to_hyperplane, split_by_hyperplane, ZERO_TOL)
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral value raises
+    LatticeError naming ``what`` instead of being truncated."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or isinstance(value, (bool, np.bool_)):
+        raise LatticeError(f"{what} must be an integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -29,9 +41,9 @@ class PoolSpec:
     out: int
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(as_int(d, "pool coordinate") for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "out", int(self.out))
+        object.__setattr__(self, "out", as_int(self.out, "pool output"))
         if not 2 <= len(dims) <= 4:
             raise LatticeError("pool must cover 2 to 4 coordinates")
         if len(set(dims)) != len(dims):
@@ -126,9 +138,7 @@ def _relu_set(s, selection, stats):
     while work:
         s, candidates = work.pop()
         sub = s.vertices[:, candidates]
-        tol = ZERO_TOL * np.maximum(1.0, np.abs(sub))
-        goes_pos = (sub > tol).any(axis=0)
-        goes_neg = (sub < -tol).any(axis=0)
+        goes_pos, goes_neg = (m.any(axis=0) for m in sides(sub, np.abs(sub)))
         news = candidates[goes_pos & goes_neg]
         negs = candidates[~goes_pos]
 
@@ -141,7 +151,8 @@ def _relu_set(s, selection, stats):
             continue
 
         k = int(news[0])
-        pos_s, neg_s = split_by_hyperplane(s, axis_hyperplane(s.ambient_dim, k))
+        h = coord_hyperplane(s.ambient_dim, k)
+        pos_s, neg_s = split_by_hyperplane(s, h)
         _bump(stats, "splits")
         # sliver pruning applies to the raw split children; the projection
         # below flattens the negative child on purpose and must not trigger it
@@ -158,13 +169,6 @@ def _relu_set(s, selection, stats):
     return out
 
 
-def _difference_hyperplane(m, ci, cj):
-    a = np.zeros(m)
-    a[ci] = 1.0
-    a[cj] = -1.0
-    return Hyperplane(a, 0.0)
-
-
 def _domain_chain(s, pool, k, selection, stats):
     """Clip ``s`` to the domain where pool coordinate ``k`` is the maximum.
 
@@ -176,7 +180,7 @@ def _domain_chain(s, pool, k, selection, stats):
     for i, j in pool.pairs():
         if k not in (i, j):
             continue
-        h = _difference_hyperplane(s.ambient_dim, pool.dims[i], pool.dims[j])
+        h = coord_hyperplane(s.ambient_dim, pool.dims[i], pool.dims[j])
         cls = classify_vertices(s, h)
         want_pos = i == k
         if not (cls.has_pos and cls.has_neg):
@@ -259,17 +263,16 @@ def _settled_winners(v, idx):
     """Each pool's winner on a set with vertex rows ``v``, in one array pass.
 
     A pool whose comparisons the set does not cross is settled with the
-    ``classify_vertices`` zero band (a pair's lower coordinate wins unless a
-    vertex is negative): its winner's window index, or -2 if no coordinate
-    wins all its pairs.  A crossed pool gets -1, and so does every pool of a
+    ``sides`` zero band that ``classify_vertices`` uses (a pair's lower
+    coordinate wins unless a vertex is negative): its winner's window
+    index, or -2 if no coordinate wins all its pairs.  A crossed pool gets -1, and so does every pool of a
     non-finite set, where ``v_i - v_j`` need not equal the classify value.
     """
     if not np.isfinite(v).all():
         return np.full(len(idx), -1)
     i, j = np.triu_indices(4, 1)  # every pair; their order is moot here
     d = v[:, idx[:, i]] - v[:, idx[:, j]]
-    tol = ZERO_TOL * np.maximum(1.0, np.abs(d))
-    has_pos, has_neg = (d > tol).any(axis=0), (d < -tol).any(axis=0)
+    has_pos, has_neg = (m.any(axis=0) for m in sides(d, np.abs(d)))
     pair_winner = np.where(has_neg, j, i)
     full = (pair_winner[:, :, None] == np.arange(4)).sum(axis=1) == 3
     settled = np.where(full.any(axis=1), full.argmax(axis=1), -2)

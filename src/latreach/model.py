@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import LatticeError, LatticeSet, build_box_lattice
-from .layers import PoolSpec, pool_index
+from .layers import PoolSpec, as_int, pool_index
 
 FLRW_MAGIC = b"FLRW"
 
@@ -162,7 +162,7 @@ def write_flrw(path, W) -> None:
 
 def _lower_conv(entry, width_in):
     """Explicit affine map of a conv layer over channel-major flat vectors."""
-    c, h, w = (int(x) for x in entry["in_shape"])
+    c, h, w = (as_int(x, "conv in_shape") for x in entry["in_shape"])
     if c * h * w != width_in:
         raise ModelError(f"conv in_shape {entry['in_shape']} does not match "
                          f"running width {width_in}")
@@ -171,8 +171,8 @@ def _lower_conv(entry, width_in):
         raise ModelError("conv filters must be [k][c][fh][fw] with matching "
                          "input channels")
     k, _, fh, fw = filt.shape
-    stride = int(entry.get("stride", 1))
-    pad = int(entry.get("pad", 0))
+    stride = as_int(entry.get("stride", 1), "conv stride")
+    pad = as_int(entry.get("pad", 0), "conv pad")
     if stride < 1 or pad < 0:
         raise ModelError("conv stride must be >= 1 and pad >= 0")
     bias = np.asarray(entry.get("bias", np.zeros(k)), dtype=float).ravel()
@@ -222,11 +222,11 @@ def _append_layer(layers: list, entry, width: int, folder: Path) -> int:
         raise ModelError("layer entry must be a JSON object")
     kind = entry.get("kind")
     if kind == "relu":
-        w_in = int(entry.get("width_in", width))
+        w_in = as_int(entry.get("width_in", width), "relu width_in")
         if w_in != width:
             raise ModelError(f"relu width {w_in} does not match running "
                              f"width {width}")
-        w_out = int(entry.get("width_out", w_in))
+        w_out = as_int(entry.get("width_out", w_in), "relu width_out")
         layers.append(LayerDesc("relu", w_in, w_out))
         return width
     if kind == "maxpool":
@@ -268,11 +268,13 @@ def load_model(path) -> Network:
     except json.JSONDecodeError as e:
         raise ModelError(f"{path}: invalid JSON ({e})") from e
     try:
-        input_width = int(doc["input_width"])
+        input_width = as_int(doc["input_width"], "input_width")
         labels = list(doc["labels"])
         raw_layers = list(doc["layers"])
     except KeyError as e:
         raise ModelError(f"{path}: missing top-level key {e}") from e
+    except LatticeError as e:
+        raise ModelError(f"{path}: {e}") from e
 
     layers: list[LayerDesc] = []
     width = input_width

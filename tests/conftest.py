@@ -161,7 +161,7 @@ def tetra_set():
     dims = [0] * 4 + [1] * 6 + [2] * 4 + [3]
     ptr = np.concatenate(([0], np.cumsum([len(k) for k in kids])))
     idx = np.array(list(itertools.chain.from_iterable(kids)), dtype=np.int32)
-    lat = FaceLattice(np.arange(15), dims, ptr, idx, 4, 3, 15)
+    lat = FaceLattice(np.arange(15), dims, ptr, idx, 15)
     return LatticeSet(lat, verts, verts.copy())
 
 

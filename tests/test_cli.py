@@ -247,6 +247,12 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
     code, _, err = run(["backtrack", "--result", str(out), "--set-id", "0",
                         "--constraint", "nonsense"], capsys)
     assert code == 4 and "constraint" in err
+    # a non-finite threshold has no side to keep: an error, not the whole set
+    for text in ("1-0>=inf", "1-0>=-inf", "1-0>=nan"):
+        code, stdout, err = run(["backtrack", "--result", str(out),
+                                 "--set-id", "0", "--constraint", text],
+                                capsys)
+        assert (code, stdout) == (4, "") and "finite" in err, text
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -477,15 +483,46 @@ def test_project_axis_errors(tmp_path, capsys):
     out = tmp_path / "R.json"
     run(["reach", "--model", model, "--input", x, "--pixels", "0,1",
          "--epsilon", "0.1", "--out", str(out)], capsys)
+    csv_path = tmp_path / "p.csv"
     code, _, err = run(["project", "--result", str(out), "--axes",
-                        "0,second", "--out", str(tmp_path / "p.csv")], capsys)
+                        "0,second", "--out", str(csv_path)], capsys)
     assert code == 4 and "second" in err
     code, _, _ = run(["project", "--result", str(out), "--axes", "0",
-                      "--out", str(tmp_path / "p.csv")], capsys)
+                      "--out", str(csv_path)], capsys)
     assert code == 4
+    # malformed axes and indices outside the 2 logits, negative ones too,
+    # fail before --out is opened
+    for axes in ["0,x", "0,5", "-1,0", "class:-1,0", "class:2,second",
+                 "0,1,0"]:
+        code, _, err = run(["project", "--result", str(out),
+                            f"--axes={axes}", "--out", str(csv_path)],
+                           capsys)
+        assert code == 4 and err.startswith("error:"), axes
+        assert not csv_path.exists(), axes
+    # a malformed axis fails before the dump is read
+    for axes in ["0,second", "0,x", "0"]:
+        code, _, err = run(["project", "--result", str(tmp_path / "no.json"),
+                            f"--axes={axes}", "--out", str(csv_path)], capsys)
+        assert code == 4 and "no.json" not in err, axes
     code, _, _ = run(["project", "--result", str(out), "--axes", "0,1",
-                      "--out", str(tmp_path / "p.csv")], capsys)
+                      "--out", str(csv_path)], capsys)
     assert code == 0
+    # an earlier --out survives a later failed projection unchanged
+    before = csv_path.read_bytes()
+    code, _, err = run(["project", "--result", str(out), "--axes=0,5",
+                        "--out", str(csv_path)], capsys)
+    assert code == 4 and "out of range" in err
+    assert csv_path.read_bytes() == before
+    # one logit leaves nothing for second_highest to rank
+    one = write(tmp_path / "one.json", json.dumps(
+        {"input_width": 1, "labels": ["a"],
+         "layers": [{"kind": "affine", "W": [[1.0]], "b": [0.0]}]}))
+    run(["reach", "--model", one, "--input", baseline_csv(tmp_path, [0.5]),
+         "--pixels", "0", "--epsilon", "0.1", "--out", str(out)], capsys)
+    code, _, err = run(["project", "--result", str(out), "--axes",
+                        "class:0,second", "--out", str(csv_path)], capsys)
+    assert code == 4 and "second" in err
+    assert csv_path.read_bytes() == before
 
 
 def test_usage_and_error_exit_codes(tmp_path, capsys):

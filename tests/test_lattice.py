@@ -12,6 +12,7 @@ from latreach import (FaceLattice, LatticeSet, Hyperplane, LatticeError,
                       split_by_hyperplane, project_to_hyperplane,
                       eliminate_dims, validate_lattice, validate_set,
                       set_to_dict, set_from_dict)
+from latreach.lattice import coord_hyperplane, sides
 from conftest import tetra_set, hull_face_counts_3d
 
 
@@ -285,15 +286,14 @@ def test_validator_catches_corruption():
     lat = s.lattice
     # duplicate ids
     bad = FaceLattice(np.zeros(lat.n_faces, dtype=np.int64), lat.dims,
-                      lat.child_ptr, lat.child_idx, lat.n_vertices,
-                      lat.top_dim, lat.next_id)
+                      lat.child_ptr, lat.child_idx, lat.next_id)
     with pytest.raises(LatticeError):
         validate_lattice(bad)
     # skipped dimension in containment
     dims = lat.dims.copy()
     dims[-1] = 3
     bad2 = FaceLattice(lat.ids, dims, lat.child_ptr, lat.child_idx,
-                       lat.n_vertices, 3, lat.next_id)
+                       lat.next_id)
     with pytest.raises(LatticeError):
         validate_lattice(bad2)
     # vertex count mismatch in the set
@@ -308,6 +308,43 @@ def test_hyperplane_validation():
         Hyperplane([], 0.0)
     h = Hyperplane([3.0, 4.0], 1.0)
     assert h.evaluate(np.array([1.0, 1.0])) == pytest.approx(8.0)
+    # a non-finite normal or offset has no side to put a vertex on
+    for normal, offset in [([np.inf, 0.0], 0.0), ([np.nan, 1.0], 0.0),
+                           ([1.0, 0.0], np.inf), ([1.0, 0.0], -np.inf),
+                           ([1.0, 0.0], np.nan)]:
+        with pytest.raises(LatticeError, match="finite"):
+            Hyperplane(normal, offset)
+
+
+def test_coord_hyperplane():
+    h = coord_hyperplane(4, 2)
+    assert h.normal.tolist() == [0.0, 0.0, 1.0, 0.0] and h.offset == 0.0
+    h = coord_hyperplane(3, 2, 0, -0.5)
+    assert h.normal.tolist() == [-1.0, 0.0, 1.0] and h.offset == -0.5
+    with pytest.raises(LatticeError, match="nonzero"):
+        coord_hyperplane(3, 1, 1)
+
+
+def test_sides_zero_band():
+    # the band is ZERO_TOL * max(1, scale): absolute below scale 1
+    v = np.array([2e-9, -2e-9, 5e-10, 2e-9, -3e-9, np.nan])
+    pos, neg = sides(v, np.array([0.0, 0.0, 0.0, 3.0, 2.0, 1.0]))
+    assert pos.tolist() == [True, False, False, False, False, False]
+    assert neg.tolist() == [False, True, False, False, True, False]
+
+
+def test_lattice_sizes_follow_dims():
+    s = build_box_lattice([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    lat = s.lattice
+    assert (lat.n_vertices, lat.top_dim) == (8, 3)
+    # a bare point: one 0-face that is also the top face
+    pt = FaceLattice([7], [0], [0, 0], [], 8)
+    assert (pt.n_vertices, pt.top_dim, pt.n_faces) == (1, 0, 1)
+    validate_lattice(pt)
+    with pytest.raises(LatticeError, match="empty lattice"):
+        FaceLattice([], [], [0], [], 0)
+    with pytest.raises(LatticeError, match="empty lattice"):
+        set_from_dict({"faces": [], "vertices": [], "region": []})
 
 
 def test_dump_roundtrip(rng):

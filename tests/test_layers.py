@@ -7,6 +7,7 @@ from latreach import (LatticeError, Hyperplane, PoolSpec, NeuronSelection,
                       build_box_lattice, affine_transform, validate_set,
                       relu_layer_reach, maxpool_pool_reach,
                       maxpool_layer_reach, affine_layer_reach)
+from latreach.layers import _domain_chain
 from conftest import dedup_vertex_set, in_union
 
 
@@ -153,6 +154,11 @@ def test_pool_spec_validation():
         PoolSpec((0,), 0)
     with pytest.raises(LatticeError):
         PoolSpec((0, 1, 2, 3, 4), 0)
+    for dims, out in [((0, 1.5), 0), ((0, True), 0), ((0, 1), False),
+                      ((0, "1"), 0), ((0, 1), 0.5)]:
+        with pytest.raises(LatticeError, match="must be an integer"):
+            PoolSpec(dims, out)
+    assert PoolSpec((np.int64(1), 2.0), np.int32(0)).dims == (1, 2)
     assert PoolSpec((3, 1, 0, 2), 0).pairs() == [(0, 1), (0, 2), (1, 2),
                                                  (0, 3), (1, 3), (2, 3)]
 
@@ -295,6 +301,31 @@ def test_maxpool_fast_all_unselected_never_empty(rng):
         exact = maxpool_pool_reach([s], PoolSpec((0, 1, 2, 3), 0))
         for o in fast:
             assert in_union(exact, o.vertices, 1e-6).all()
+
+
+def test_fast_maxpool_centroid_fallback_keeps_every_set():
+    # the fast-mode kill rules can starve every domain of a pool; the
+    # centroid fallback then keeps the exact domain of the centroid's
+    # winner, so no set that the exact layer keeps maps to nothing
+    rng = np.random.default_rng(20261018)
+    starved = 0
+    for _ in range(400):
+        n, d = int(rng.integers(3, 5)), int(rng.integers(1, 4))
+        lo = rng.uniform(-1, 1, d)
+        box = build_box_lattice(lo, lo + rng.uniform(0.5, 1.5, d))
+        s = affine_transform(box, rng.normal(size=(n, d)),
+                             rng.normal(size=n) * 0.5)
+        pools = [PoolSpec(rng.permutation(n), 0)]
+        sel = NeuronSelection(rng.random(n) < rng.choice([0.0, 0.3]))
+        starved += all(_domain_chain(s, pools[0], k, sel, None) is None
+                       for k in range(n))
+        exact = maxpool_layer_reach([s], pools)
+        fast = maxpool_layer_reach([s], pools, sel)
+        assert exact and fast
+        assert ({dedup_vertex_set(o) for o in fast}
+                <= {dedup_vertex_set(o) for o in exact})
+    # 24 of the 400 draws starve every domain
+    assert starved >= 15, starved
 
 
 def test_affine_layer_reach():

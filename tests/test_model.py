@@ -129,6 +129,31 @@ def test_load_errors(tmp_path):
         doc = {"input_width": 2, "labels": ["a", "b"], "layers": layers}
         with pytest.raises(ModelError, match="^layer [01]: "):
             load_model(write_model(tmp_path, doc))
+    # sizes and indices must be integers: no silent truncation, no bools
+    def maxpool(**pool):
+        return {"kind": "maxpool",
+                "pools": [{"dims": [0, 1, 2, 3], "out": 0, **pool}]}
+
+    conv = {"kind": "conv", "in_shape": [1, 2, 2], "stride": 1,
+            "filters": [[[[1.0]]]]}
+    for layer in [maxpool(dims=[0, 1.9, 2, 3]), maxpool(dims=[0, 1, True, 3]),
+                  maxpool(out=False), maxpool(out="0"),
+                  {**conv, "stride": 1.5},
+                  {**conv, "pad": True},
+                  {**conv, "in_shape": [1, 2.9, 2]},
+                  {"kind": "relu", "width_out": 4.5}]:
+        doc = {"input_width": 4, "labels": ["a"] * 4, "layers": [layer]}
+        with pytest.raises(ModelError, match="^layer 0: .*must be an integer"):
+            load_model(write_model(tmp_path, doc))
+    for width in (2.7, True, "4", None):
+        doc = {"input_width": width, "labels": ["a", "b"],
+               "layers": [{"kind": "relu"}]}
+        with pytest.raises(ModelError, match="input_width must be an integer"):
+            load_model(write_model(tmp_path, doc))
+    # integral floats are integers
+    doc = {"input_width": 4.0, "labels": ["a"] * 4,
+           "layers": [{**conv, "stride": 1.0, "in_shape": [1.0, 2, 2]}]}
+    assert load_model(write_model(tmp_path, doc)).input_width == 4
 
 
 def test_conv_one_by_one_is_channel_mix(tmp_path):
