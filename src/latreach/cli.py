@@ -165,7 +165,11 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
         if deadline is not None and time.monotonic() > deadline:
             status = "TIMEOUT"
             break
-        G = gradient(net, cur, c).wrt_input[groups]
+        # the loop stops at the first argmax != c, so c is still the class
+        # at cur: this is the gradient select_neurons would compute for the
+        # reach below, and the reach takes it instead of a second pass
+        grads = gradient(net, cur, c)
+        G = grads.wrt_input[groups]
         scores = np.sqrt((G[:, None, :] @ G[:, :, None]).ravel())
         scores[used] = -np.inf
         target = int(np.argmax(scores))
@@ -176,7 +180,8 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
         cfg = ReachConfig(mode="fast", relaxation=relaxation,
                           timeout=remaining)
         step_t = time.perf_counter()
-        res = reach(net, InputSpec(cur, tuple(groups[target]), epsilon), cfg)
+        res = reach(net, InputSpec(cur, tuple(groups[target]), epsilon), cfg,
+                    grads)
         total_sets += res.set_count
 
         best = (margin, cur)

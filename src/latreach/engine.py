@@ -26,9 +26,9 @@ import numpy as np
 from .lattice import (LatticeSet, split_by_hyperplane, set_to_dict,
                       set_from_dict)
 from .layers import (NeuronSelection, affine_layer_reach, relu_layer_reach,
-                     maxpool_layer_reach)
-from .model import (Network, InputSpec, ModelError, embed_box, forward,
-                    gradient)
+                     maxpool_layer_reach, as_int)
+from .model import (Network, InputSpec, ModelError, Gradients, embed_box,
+                    forward, gradient)
 
 DEFAULT_MAX_SETS = 5_000_000
 
@@ -53,6 +53,9 @@ class ReachConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in [0, 1]")
+        for name in ("partitions", "max_sets", "workers"):
+            # as_int raises LatticeError, a ValueError
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.partitions < 1 or self.workers < 1 or self.max_sets < 1:
             raise ValueError("partitions, workers and max_sets must be >= 1")
         if self.timeout is not None and self.timeout <= 0:
@@ -71,18 +74,20 @@ class ReachResult:
     counters: dict = field(default_factory=dict)
 
 
-def select_neurons(net: Network, spec: InputSpec, delta: float) -> dict:
+def select_neurons(net: Network, spec: InputSpec, delta: float,
+                   grads: Gradients | None = None) -> dict:
     """Gradient-ranked neuron selection for every nonlinear layer.
 
     Ranks by absolute gradient of the predicted-class logit at the baseline,
     descending, ties to the lower index.  Selects round(delta * n) neurons
-    with a floor of one when delta > 0; delta = 0 selects none.
+    with a floor of one when delta > 0; delta = 0 selects none.  A caller
+    that already holds that gradient passes it as ``grads``.
     """
-    base = spec.baseline
-    c = int(np.argmax(forward(net, base)))
-    per_layer = gradient(net, base, c).wrt_layer
+    if grads is None:
+        base = spec.baseline
+        grads = gradient(net, base, int(np.argmax(forward(net, base))))
     selections = {}
-    for idx, g in per_layer.items():
+    for idx, g in grads.wrt_layer.items():
         n = g.size
         if delta <= 0.0:
             m = 0
@@ -137,24 +142,27 @@ def _propagate_partition(net, spec, selections, deadline, max_sets, box):
         elif layer.kind == "relu":
             sets = relu_layer_reach(sets, sel, stats)
         else:
-            sets = maxpool_layer_reach(sets, layer.pools, sel, stats)
+            sets = maxpool_layer_reach(sets, layer, sel, stats)
         stats["sets_per_layer"][i] += len(sets)
     return sets, stats
 
 
-def reach(net: Network, spec: InputSpec, cfg: ReachConfig) -> ReachResult:
+def reach(net: Network, spec: InputSpec, cfg: ReachConfig,
+          grads: Gradients | None = None) -> ReachResult:
     """Reachable sets of the input box under the network.
 
     Exact mode: the union of outputs is the exact image and every set
     carries its linear region.  Fast mode: each output is a subset (a face)
-    of some exact output; the union under-approximates the image.
+    of some exact output; the union under-approximates the image.  Fast
+    mode ranks neurons by ``grads``, the gradient of the baseline's
+    predicted-class logit at the baseline, computed here when not given.
     """
     if spec.baseline.size != net.input_width:
         raise ModelError("input spec does not match network input width")
     t0 = time.perf_counter()
     deadline = (time.monotonic() + cfg.timeout if cfg.timeout is not None
                 else None)
-    selections = (select_neurons(net, spec, cfg.relaxation)
+    selections = (select_neurons(net, spec, cfg.relaxation, grads)
                   if cfg.mode == "fast" else None)
 
     centers = spec.baseline[list(spec.perturbed_coords)]

@@ -23,6 +23,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -182,25 +183,12 @@ class LatticeSet:
         return self.vertices.shape[0]
 
 
-def build_box_lattice(lower, upper) -> LatticeSet:
-    """Full face lattice of the axis-aligned box ``[lower, upper]``.
-
-    Faces correspond to tag tuples in {low, high, free}^d, so the lattice has
-    exactly 3^d faces and 2^d vertices.  Zero-width coordinates are allowed;
-    ``d`` is capped at ``MAX_BOX_DIM`` because the lattice is exponential in d.
+@functools.lru_cache(maxsize=MAX_BOX_DIM)
+def _box_structure(d: int):
+    """``(lattice, high)`` of the d-box: its FaceLattice and the
+    ``(2^d, d)`` mask of the coordinates each vertex takes at the upper
+    bound.  Both are read-only and shared by every box of dimension d.
     """
-    lo = np.ascontiguousarray(lower, dtype=float).ravel()
-    hi = np.ascontiguousarray(upper, dtype=float).ravel()
-    d = lo.size
-    if hi.size != d:
-        raise LatticeError("lower and upper must have the same length")
-    if d == 0:
-        raise LatticeError("box must have at least one dimension")
-    if d > MAX_BOX_DIM:
-        raise LatticeError(f"box dimension {d} exceeds limit {MAX_BOX_DIM}")
-    if np.any(lo > hi):
-        raise LatticeError("box has lower > upper in some coordinate")
-
     LOW, HIGH, FREE = 0, 1, 2
     tags = sorted(itertools.product((LOW, HIGH, FREE), repeat=d),
                   key=lambda t: (sum(x == FREE for x in t), t))
@@ -222,9 +210,32 @@ def build_box_lattice(lower, upper) -> LatticeSet:
                       dtype=np.int32, count=int(ptr[-1]))
 
     lat = FaceLattice(np.arange(len(tags)), dims, ptr, idx, len(tags))
-    verts = np.empty((lat.n_vertices, d))
-    for i, t in enumerate(tags[:lat.n_vertices]):
-        verts[i] = np.where(np.array(t) == HIGH, hi, lo)
+    high = np.array(tags[:lat.n_vertices]) == HIGH
+    high.setflags(write=False)
+    return lat, high
+
+
+def build_box_lattice(lower, upper) -> LatticeSet:
+    """Full face lattice of the axis-aligned box ``[lower, upper]``.
+
+    Faces correspond to tag tuples in {low, high, free}^d, so the lattice has
+    exactly 3^d faces and 2^d vertices.  Zero-width coordinates are allowed;
+    ``d`` is capped at ``MAX_BOX_DIM`` because the lattice is exponential in d.
+    """
+    lo = np.ascontiguousarray(lower, dtype=float).ravel()
+    hi = np.ascontiguousarray(upper, dtype=float).ravel()
+    d = lo.size
+    if hi.size != d:
+        raise LatticeError("lower and upper must have the same length")
+    if d == 0:
+        raise LatticeError("box must have at least one dimension")
+    if d > MAX_BOX_DIM:
+        raise LatticeError(f"box dimension {d} exceeds limit {MAX_BOX_DIM}")
+    if np.any(lo > hi):
+        raise LatticeError("box has lower > upper in some coordinate")
+
+    lat, high = _box_structure(d)
+    verts = np.where(high, hi, lo)
     return LatticeSet(lat, verts, verts.copy())
 
 
@@ -411,12 +422,12 @@ def project_to_hyperplane(s: LatticeSet, coord: int) -> LatticeSet:
 
 def eliminate_dims(s: LatticeSet, keep) -> LatticeSet:
     """Restrict the vertex matrix to the ``keep`` columns, in that order."""
-    keep = list(keep)
-    if not keep:
+    keep = np.asarray(keep)
+    if keep.size == 0:
         raise LatticeError("cannot eliminate every coordinate")
-    for c in keep:
-        if not 0 <= c < s.ambient_dim:
-            raise LatticeError(f"coordinate {c} out of range")
+    bad = (keep < 0) | (keep >= s.ambient_dim)
+    if bad.any():
+        raise LatticeError(f"coordinate {keep[bad][0]} out of range")
     return LatticeSet(s.lattice, s.vertices[:, keep], s.region_vertices)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .lattice import (LatticeError, LatticeSet, coord_hyperplane, sides,
                       classify_vertices, eliminate_dims, affine_transform,
-                      project_to_hyperplane, split_by_hyperplane, ZERO_TOL)
+                      project_to_hyperplane, split_by_hyperplane)
 
 
 def as_int(value, what: str) -> int:
@@ -81,15 +81,16 @@ def _bump(stats, key, n=1):
 def _pruned_empty(s: LatticeSet | None) -> bool:
     # missing split children and those whose vertices all coincide (slivers
     # of measure zero) are dropped; genuine point sets (top_dim 0, e.g.
-    # after projections) are kept
+    # after projections) are kept.  Each coordinate's span is held to that
+    # coordinate's own zero band, so one large coordinate elsewhere cannot
+    # turn a real piece into a sliver
     if s is None or s.n_vertices == 0:
         return True
     if s.lattice.top_dim == 0:
         return False
-    v = s.vertices
-    scale = max(1.0, float(np.abs(v).max()))
-    span = float((v.max(axis=0) - v.min(axis=0)).max())
-    return span <= ZERO_TOL * scale
+    hi, lo = s.vertices.max(axis=0), s.vertices.min(axis=0)
+    wide, _ = sides(hi - lo, np.maximum(hi, -lo))  # max(hi, -lo) = max |v|
+    return not wide.any()
 
 
 def affine_layer_reach(inputs, W, b):
@@ -284,35 +285,50 @@ def maxpool_layer_reach(inputs, pools,
                         stats: dict | None = None):
     """Propagate sets through a maxpool layer of disjoint pools.
 
-    The pools must partition the input coordinates.  Every set, and every
-    new piece a split creates, gets the winners of all its uncrossed pools
-    in one array pass (``_settled_winners``), with no split and no classify
-    call; only crossed pools enumerate their domains.  Output coordinate
-    ``pool.out`` receives ``pool``'s winner, and outputs come in
-    lexicographic order of the per-pool domains.
+    ``pools`` is a maxpool ``LayerDesc`` or a list of PoolSpec; the pools
+    must partition the input coordinates.  Each set is walked depth first
+    over the pools in list order.  A piece settles all the pools it has not
+    passed in one array pass (``_settled_winners``), with no split and no
+    classify call, and jumps over them up to the next crossed pool, whose
+    domains (``_pool_domains``) become new pieces; a pool that no
+    coordinate wins kills the piece.  Output coordinate ``pool.out``
+    receives ``pool``'s winner, and outputs come in lexicographic order of
+    the per-pool domains.
     """
-    pools = list(pools)
-    idx, width = pool_index(pools)
+    layer = pools if hasattr(pools, "pool_idx") else None
+    pools = list(layer.pools if layer else pools)
+    outs = np.array([p.out for p in pools], dtype=np.intp)
+    # a loaded layer's pools were checked at load time, and its pool_idx
+    # rows are in out order; a PoolSpec list is checked here
+    idx, width = ((layer.pool_idx[outs], layer.width_in) if layer
+                  else pool_index(pools))
 
     out = []
     for s in inputs:
         if s.ambient_dim != width:
             raise LatticeError("pools must cover the layer input coordinates")
         _check_selection(selection, s)
-        # (piece, winners of its settled pools or None, output columns)
-        pending = [(s, None, [0] * len(pools))]
-        for pi, pool in enumerate(pools):
-            nxt = []
-            for t, won, cols in pending:
-                if won is None:
-                    won = _settled_winners(t.vertices, idx)
-                k = int(won[pi])
-                doms = (_pool_domains(t, pool, selection, stats) if k == -1
-                        else [(t, k)] if k >= 0 else [])
-                for piece, win in doms:
-                    c2 = cols.copy()
-                    c2[pool.out] = pool.dims[win]
-                    nxt.append((piece, won if piece is t else None, c2))
-            pending = nxt
-        out.extend(eliminate_dims(piece, cols) for piece, _, cols in pending)
+        # (piece, first pool not passed, winners from there or None,
+        #  output columns of the pools passed)
+        work = [(s, 0, None, np.zeros(len(pools), dtype=np.intp))]
+        while work:
+            t, pi, won, cols = work.pop()
+            if won is None:
+                won = _settled_winners(t.vertices, idx[pi:])
+            open_ = np.flatnonzero(won < 0)
+            n = int(open_[0]) if open_.size else won.size
+            cols[outs[pi:pi + n]] = idx[np.arange(pi, pi + n), won[:n]]
+            if n == won.size:
+                out.append(eliminate_dims(t, cols))
+                continue
+            if won[n] == -2:
+                continue
+            pi += n
+            pool = pools[pi]
+            # pushed in reverse so the first domain's subtree comes out first
+            for piece, k in reversed(_pool_domains(t, pool, selection, stats)):
+                c2 = cols.copy()
+                c2[pool.out] = pool.dims[k]
+                work.append((piece, pi + 1,
+                             won[n + 1:] if piece is t else None, c2))
     return out

@@ -31,7 +31,8 @@ class LayerDesc:
     """One runtime layer: affine (W, b), relu, or maxpool (pools).
 
     A maxpool layer also carries ``pool_idx``, the ``(width_out, 4)`` array
-    whose row ``r`` is the window of the pool that writes output ``r``.
+    whose row ``r`` is the window of the pool that writes output ``r``;
+    forward, gradient and ``maxpool_layer_reach`` all read it.
     """
 
     kind: str
@@ -119,7 +120,11 @@ class InputSpec:
         base.setflags(write=False)
         if not np.isfinite(base).all():
             raise ModelError("baseline must be finite")
-        coords = tuple(int(c) for c in self.perturbed_coords)
+        try:
+            coords = tuple(as_int(c, "perturbed coordinate")
+                           for c in self.perturbed_coords)
+        except LatticeError as e:
+            raise ModelError(str(e)) from e
         if not coords:
             raise ModelError("need at least one perturbed coordinate")
         if len(set(coords)) != len(coords):

@@ -5,6 +5,7 @@ a vectorized network evaluator written separately from model.forward.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -163,6 +164,26 @@ def tetra_set():
     idx = np.array(list(itertools.chain.from_iterable(kids)), dtype=np.int32)
     lat = FaceLattice(np.arange(15), dims, ptr, idx, 15)
     return LatticeSet(lat, verts, verts.copy())
+
+
+def write_conv_pool_model(path, seed, pool_outs=range(8)):
+    """A 3x4x4-input model file: conv (2 filters, pad 1), relu, eight 2x2
+    pools writing ``pool_outs`` in list order, affine to 3 logits."""
+    rng = np.random.default_rng(seed)
+    bases = [c * 16 + 8 * by + 2 * bx
+             for c in (0, 1) for by in (0, 1) for bx in (0, 1)]
+    pools = [{"dims": [b, b + 1, b + 4, b + 5], "out": int(o)}
+             for b, o in zip(bases, pool_outs)]
+    doc = {"input_width": 48, "labels": ["a", "b", "c"], "layers": [
+        {"kind": "conv", "in_shape": [3, 4, 4], "pad": 1,
+         "filters": rng.normal(size=(2, 3, 3, 3)).tolist(),
+         "bias": [0.1, -0.1]},
+        {"kind": "relu"},
+        {"kind": "maxpool", "pools": pools},
+        {"kind": "affine", "W": rng.normal(size=(3, 8)).tolist(),
+         "b": [0.0, 0.0, 0.0]}]}
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def random_toy_net(seed):

@@ -8,7 +8,8 @@ from scipy.spatial import ConvexHull
 
 from latreach import (Hyperplane, InputSpec, LayerDesc, Network, ReachConfig,
                       ModelError, reach, backtrack, select_neurons,
-                      result_to_dict, sets_from_dict, validate_set, verify)
+                      forward, result_to_dict, sets_from_dict, validate_set,
+                      verify)
 from conftest import (batch_forward, check_soundness, completeness_error,
                       dedup_vertex_set, in_union, random_toy_net)
 
@@ -101,6 +102,14 @@ def test_reach_config_validation():
         ReachConfig(timeout=0.0)
     with pytest.raises(ValueError):
         ReachConfig(workers=0)
+    # sizes must be integers: no truncation, no bools
+    for bad in ({"partitions": 2.5}, {"max_sets": True}, {"workers": 1.5},
+                {"partitions": "2"}, {"max_sets": np.bool_(True)}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ReachConfig(**bad)
+    cfg = ReachConfig(partitions=np.int64(2), max_sets=3.0, workers=1)
+    assert (cfg.partitions, cfg.max_sets, cfg.workers) == (2, 3, 1)
+    assert type(cfg.partitions) is int and type(cfg.max_sets) is int
 
 
 def test_input_box_width_must_be_finite():
@@ -299,3 +308,25 @@ def test_result_dump_roundtrip():
         assert np.allclose(s.region_vertices, r.region_vertices, atol=0)
         assert s.lattice.n_faces == r.lattice.n_faces
         validate_set(r)
+
+
+def test_large_unrelated_coordinate_keeps_real_pieces():
+    # neuron 2 is the constant 1e9; the 0.3-wide piece x < 0 must not be
+    # measured against it and pruned as a sliver
+    net = relu_net([[1.0], [-1.0], [0.0]], [0.0, 0.0, 1e9],
+                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.zeros(2),
+                   ("a", "b"))
+    spec = InputSpec([0.7], (0,), 1.0)
+    res = reach(net, spec, ReachConfig())
+    assert (res.set_count, res.truncated) == (2, False)
+    v = verify(net, spec, ReachConfig())
+    assert (v.status, v.set_count) == ("UNSAFE", 2)
+    assert int(np.argmax(forward(net, v.witnesses[0][0]))) == 1
+
+
+def test_two_neuron_sliver_repro_keeps_both_pieces():
+    net = relu_net([[1.0], [0.0]], [0.0, 1e9], np.eye(2), np.zeros(2),
+                   ("a", "b"))
+    res = reach(net, InputSpec([0.0], (0,), 1.0), ReachConfig())
+    assert (res.set_count, res.truncated) == (2, False)
+    assert sorted(s.vertices[:, 0].max() for s in res.sets) == [0.0, 1.0]

@@ -375,6 +375,12 @@ def test_input_spec_validation(tmp_path):
         InputSpec(np.zeros(3), (5,), 0.1)
     with pytest.raises(ModelError):
         InputSpec(np.zeros(3), (0,), -0.1)
+    # perturbed coordinates must be integers: no truncation, no bools
+    for coords in [(0.9, True), (0, 1.5), (np.bool_(False),), ("1",)]:
+        with pytest.raises(ModelError, match="must be an integer"):
+            InputSpec(np.zeros(3), coords, 0.1)
+    assert InputSpec(np.zeros(3), (np.int64(2), 1.0), 0.1).perturbed_coords \
+        == (2, 1)
     for base, eps in [(np.zeros(2), np.inf), (np.zeros(2), np.nan),
                       (np.array([0.0, np.inf]), 0.1),
                       (np.array([np.nan, 0.0]), 0.1)]:

@@ -9,10 +9,13 @@ same order, with the same lattices, vertices, regions and split count.
 import numpy as np
 
 from latreach import (LatticeSet, PoolSpec, NeuronSelection, ZERO_TOL,
-                      LayerDesc, Network, build_box_lattice, affine_transform,
-                      eliminate_dims, maxpool_layer_reach, forward, gradient)
-from latreach import layers
+                      LayerDesc, Network, InputSpec, ReachConfig,
+                      build_box_lattice, affine_transform, eliminate_dims,
+                      maxpool_layer_reach, forward, gradient, load_model,
+                      reach)
+from latreach import lattice, layers
 from latreach.layers import _pool_domains
+from conftest import write_conv_pool_model
 
 
 def reference_maxpool_layer(inputs, pools, selection=None, stats=None):
@@ -62,17 +65,45 @@ def random_pools(rng, m):
             for i in range(len(sizes))]
 
 
+def plant_cycle(W, b, dims):
+    """a ~ b and b ~ c within the zero band but c > a beyond it: the lower
+    coordinate wins both ties, c wins against a, nobody wins all."""
+    W[dims[1]] = W[dims[2]] = W[dims[0]]
+    b[dims[1]] = b[dims[0]] + 0.6 * ZERO_TOL
+    b[dims[2]] = b[dims[0]] + 1.2 * ZERO_TOL
+
+
+def wide_layer(rng, W, b, lo, hi):
+    """32-40 four-coordinate pools, all settled but one crossed pool late in
+    the list and a pool after it that nobody wins."""
+    n = W.shape[0] // 4
+    coords = rng.permutation(4 * n)
+    outs = rng.permutation(n)
+    pools = [PoolSpec(coords[4 * i:4 * i + 4], outs[i]) for i in range(n)]
+    W[:] = 0.0  # constant coordinates: every comparison is settled
+    late = int(rng.integers(3 * n // 4, n - 1))
+    dims = list(pools[late].dims)
+    W[dims] = rng.normal(size=(4, W.shape[1]))
+    b[dims] = -W[dims] @ (0.5 * (lo + hi)) + rng.normal(size=4) * 0.05
+    # the cycle's ties are 1e-9 wide: a shifted copy of the set escapes it
+    plant_cycle(W, b, list(pools[int(rng.integers(late + 1, n))].dims))
+    return pools
+
+
 def random_case(rng):
-    """A box of dimension 1-3 mapped into 4-12 dims, with planted ties."""
-    m = int(rng.integers(4, 13))
+    """A box of dimension 1-3 mapped into 4-12 dims, with planted ties; one
+    case in five is a wide layer (``wide_layer``) instead."""
+    wide = rng.random() < 0.2
+    m = 4 * int(rng.integers(32, 41)) if wide else int(rng.integers(4, 13))
     d = int(rng.integers(1, 4))
-    width = float(rng.choice([0.01, 0.3, 1.0]))
+    width = float(rng.choice([0.3, 1.0] if wide else [0.01, 0.3, 1.0]))
     lo = rng.uniform(-1, 1, d)
-    box = build_box_lattice(lo, lo + width * rng.uniform(0.5, 1.0, d))
+    hi = lo + width * rng.uniform(0.5, 1.0, d)
+    box = build_box_lattice(lo, hi)
     W = rng.normal(size=(m, d))
     b = rng.normal(size=m) * 0.5
-    pools = random_pools(rng, m)
-    for pool in pools:
+    pools = wide_layer(rng, W, b, lo, hi) if wide else random_pools(rng, m)
+    for pool in [] if wide else pools:
         dims = list(pool.dims)
         kind = rng.choice(["generic", "constant", "duplicate", "near",
                            "cycle"])
@@ -87,11 +118,7 @@ def random_case(rng):
             W[dims[1]] = W[dims[0]]
             b[dims[1]] = b[dims[0]] + rng.uniform(-0.4, 0.4) * ZERO_TOL
         elif kind == "cycle" and len(dims) >= 3:
-            # a ~ b and b ~ c within the band but c > a beyond it: the lower
-            # coordinate wins both ties, c wins against a, nobody wins all
-            W[dims[1]] = W[dims[2]] = W[dims[0]]
-            b[dims[1]] = b[dims[0]] + 0.6 * ZERO_TOL
-            b[dims[2]] = b[dims[0]] + 1.2 * ZERO_TOL
+            plant_cycle(W, b, dims)
     s = affine_transform(box, W, b)
     sel = rng.choice(["none", "random", "all_off", "all_on"])
     selection = {"none": None,
@@ -103,7 +130,8 @@ def random_case(rng):
 
 def test_settled_pools_match_per_pool_loop():
     rng = np.random.default_rng(20261018)
-    seen = {"split": 0, "died": 0, "settled_only": 0}
+    seen = {"split": 0, "died": 0, "settled_only": 0, "wide_split": 0,
+            "wide_died": 0, "wide_out": 0}
     for _ in range(150):
         s, pools, selection = random_case(rng)
         inputs = [s, affine_transform(s, np.eye(s.ambient_dim),
@@ -113,11 +141,25 @@ def test_settled_pools_match_per_pool_loop():
         want = reference_maxpool_layer(inputs, pools, selection, want_stats)
         assert_same_sets(got, want)
         assert got_stats.get("splits", 0) == want_stats.get("splits", 0)
+        died = any(not reference_maxpool_layer([t], pools, selection)
+                   for t in inputs)
         seen["split"] += bool(want_stats.get("splits"))
-        seen["died"] += any(not reference_maxpool_layer([t], pools, selection)
-                            for t in inputs)
+        seen["died"] += died
         seen["settled_only"] += not want_stats.get("splits")
-    # the cases reach every branch: splits, deaths, and split-free sets
+        if len(pools) >= 32:
+            # the engine's path: the loaded layer's out-ordered index
+            layer = LayerDesc("maxpool", s.ambient_dim, len(pools),
+                              pools=tuple(pools))
+            layer_stats = {}
+            assert_same_sets(maxpool_layer_reach(inputs, layer, selection,
+                                                 layer_stats), want)
+            assert layer_stats == got_stats
+            seen["wide_split"] += bool(want_stats.get("splits"))
+            seen["wide_died"] += died
+            seen["wide_out"] += bool(want)
+    # the cases reach every branch: splits, deaths, and split-free sets,
+    # and wide layers that jump to a late crossed pool, then die after it
+    # or reach the end
     assert min(seen.values()) >= 10, seen
 
 
@@ -167,6 +209,31 @@ def test_new_pieces_get_fresh_winners(monkeypatch):
     outs = maxpool_layer_reach([s], pools)
     assert len(outs) == 2
     assert len(calls) == 2  # one per domain chain of the first pool
+
+
+def test_engine_reach_takes_the_loaded_pool_index(tmp_path, monkeypatch):
+    # pools listed out of output order
+    net = load_model(write_conv_pool_model(tmp_path / "net.json", 5,
+                                           range(7, -1, -1)))
+
+    def no_index(pools):
+        raise AssertionError("pool_index called on a loaded layer")
+
+    monkeypatch.setattr(layers, "pool_index", no_index)
+    lattice._box_structure.cache_clear()
+    x = np.random.default_rng(5).uniform(0, 1, 48)
+    for px in range(5):  # one-pixel fast reaches, as falsify runs them
+        spec = InputSpec(x, (px, 16 + px, 32 + px), 0.3)
+        res = reach(net, spec, ReachConfig(mode="fast", relaxation=0.3))
+        assert res.set_count >= 1 and not res.truncated
+    exact = reach(net, InputSpec(x, (5, 21, 37), 0.3), ReachConfig())
+    assert exact.counters["splits"] >= 1
+    for s in exact.sets:
+        want = np.array([forward(net, r) for r in s.region_vertices])
+        assert np.allclose(s.vertices, want, atol=1e-9)
+    # every 3-d box shares one lattice structure, built once
+    info = lattice._box_structure.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def loop_pool_forward(layer, x):

@@ -19,6 +19,7 @@ import latreach.layers
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracer import Tracer  # noqa: E402
+from conftest import write_conv_pool_model  # noqa: E402
 
 
 def test_tracer_crosscheck_on_relu_maxpool_verify(tmp_path, capsys):
@@ -56,3 +57,33 @@ def test_tracer_crosscheck_on_relu_maxpool_verify(tmp_path, capsys):
     assert summary["layers.L2.maxpool.splits"] >= 1
     assert summary["lattice.split.calls"] == (
         summary["layers.L1.relu.splits"] + summary["layers.L2.maxpool.splits"])
+
+
+def test_tracer_crosscheck_on_falsify_one_gradient_per_pixel(tmp_path,
+                                                             capsys):
+    model = write_conv_pool_model(tmp_path / "net.json", 11)
+    image = np.random.default_rng(11).uniform(0, 1, 48)
+    x = tmp_path / "x.csv"
+    x.write_text(",".join(map(str, image)))
+    argv = ["falsify", "--model", str(model), "--image", str(x),
+            "--shape", "3,4,4", "--epsilon", "0.05", "--max-pixels", "4",
+            "--relaxation", "0.5"]
+
+    tracer = Tracer({"cli": latreach.cli, "engine": latreach.engine,
+                     "layers": latreach.layers})
+    tracer.install()
+    try:
+        code = tracer.run_span("cli.main", latreach.cli.main, argv)
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr()
+    assert code in (0, 1, 2), out.err
+    tried = json.loads(out.out.strip().splitlines()[-1])["pixels_tried"]
+    assert tried >= 2
+
+    assert tracer.crosscheck() == []
+    summary = tracer.summary()
+    assert summary["engine.reach.calls"] == tried
+    assert summary["engine.select_neurons.calls"] == tried
+    # falsify's own gradient feeds the neuron selection: one per step
+    assert summary["model.gradient.calls"] == tried
