@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import ZERO_TOL, coord_hyperplane
+from .lattice import coord_hyperplane, sides
 from .model import (Network, InputSpec, ModelError, load_model, forward,
                     gradient)
 from .engine import (ReachConfig, reach, backtrack, write_result,
@@ -60,12 +60,11 @@ class Verdict:
 
 
 def _margins(V: np.ndarray, c: int):
-    """Per-vertex margins v_c - v_j over j != c, with the relative zero band."""
+    """Per-vertex margins v_c - v_j over j != c, and their ``sides`` masks."""
     vc = V[:, [c]]
     vo = np.delete(V, c, axis=1)
     diff = vc - vo
-    tol = ZERO_TOL * np.maximum(1.0, np.abs(vc) + np.abs(vo))
-    return diff, tol
+    return diff, sides(diff, np.abs(vc) + np.abs(vo))
 
 
 def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
@@ -86,10 +85,10 @@ def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
     contact = False
     candidates = []
     for s in res.sets:
-        diff, tol = _margins(s.vertices, c)
-        if (np.abs(diff) <= tol).any():
+        diff, (above, below) = _margins(s.vertices, c)
+        if not (above | below | np.isnan(diff)).all():  # in the band
             contact = True
-        viol = (diff < -tol).any(axis=1)
+        viol = below.any(axis=1)
         for v in np.nonzero(viol)[0]:
             candidates.append((float(diff[v].min()), s.region_vertices[v]))
 

@@ -5,11 +5,11 @@ and result dumps.
 input box can be partitioned (repeated bisection of the widest perturbed
 coordinate) and partitions run independently, in-process or on a process
 pool; ``workers`` chooses only where they run, never the result.  Budgets
-are cooperative: a partition checks the deadline and its own set count
-before every layer, and the run checks the total set count after each
-partition.  Completed partitions are kept in order, the first truncated
-partition ends the run, partitions not yet started are cancelled, and the
-result is flagged truncated.
+are cooperative: a partition checks the deadline before every layer and
+after every split, and its own set count before every layer; the run
+checks the total set count after each partition.  Completed partitions are
+kept in order, the first truncated partition ends the run, partitions not
+yet started are cancelled, and the result is flagged truncated.
 """
 
 from __future__ import annotations
@@ -127,14 +127,14 @@ def _propagate_partition(net, spec, selections, deadline, max_sets, box):
     """Run the input sub-box ``box = (lo, hi)`` through all layers.
 
     Returns (sets_or_None, stats); None means the deadline or the set cap
-    interrupted this partition before some layer.
+    interrupted this partition before some layer, or the deadline passed
+    during one (the layer functions stop once ``stats`` is expired).
     """
-    stats = {"splits": 0, "sets_per_layer": [0] * len(net.layers)}
+    stats = {"splits": 0, "sets_per_layer": [0] * len(net.layers),
+             "deadline": deadline}
     sets = [embed_box(spec, *box)]
     for i, layer in enumerate(net.layers):
-        if deadline is not None and time.monotonic() > deadline:
-            return None, stats
-        if len(sets) > max_sets:
+        if time.monotonic() > deadline or len(sets) > max_sets:
             return None, stats
         sel = selections.get(i) if selections else None
         if layer.kind == "affine":
@@ -144,6 +144,8 @@ def _propagate_partition(net, spec, selections, deadline, max_sets, box):
         else:
             sets = maxpool_layer_reach(sets, layer, sel, stats)
         stats["sets_per_layer"][i] += len(sets)
+        if "expired" in stats:
+            return None, stats
     return sets, stats
 
 
@@ -161,7 +163,7 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig,
         raise ModelError("input spec does not match network input width")
     t0 = time.perf_counter()
     deadline = (time.monotonic() + cfg.timeout if cfg.timeout is not None
-                else None)
+                else np.inf)
     selections = (select_neurons(net, spec, cfg.relaxation, grads)
                   if cfg.mode == "fast" else None)
 

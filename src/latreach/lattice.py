@@ -470,10 +470,7 @@ def validate_lattice(lat: FaceLattice) -> None:
     frontier = np.array([nf - 1])
     reached[frontier] = True
     while frontier.size:
-        nxt = []
-        for f in frontier:
-            nxt.append(lat.children_of(int(f)))
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, int)
+        frontier = np.unique(_gather(lat.child_ptr, lat.child_idx, frontier)[0])
         frontier = frontier[~reached[frontier]]
         reached[frontier] = True
     if not reached.all():

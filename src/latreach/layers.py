@@ -12,13 +12,14 @@ are always faces of exact outputs rather than new geometry.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (LatticeError, LatticeSet, coord_hyperplane, sides,
                       classify_vertices, eliminate_dims, affine_transform,
-                      project_to_hyperplane, split_by_hyperplane)
+                      split_by_hyperplane)
 
 
 def as_int(value, what: str) -> int:
@@ -73,9 +74,16 @@ class NeuronSelection:
         return self.selected.size
 
 
-def _bump(stats, key, n=1):
+def _count_split(stats):
+    """Count one split in ``stats``; past its ``deadline``, mark it expired."""
     if stats is not None:
-        stats[key] = stats.get(key, 0) + n
+        stats["splits"] = stats.get("splits", 0) + 1
+        if time.monotonic() > stats.get("deadline", np.inf):
+            stats["expired"] = True
+
+
+def _expired(stats) -> bool:
+    return stats is not None and "expired" in stats
 
 
 def _pruned_empty(s: LatticeSet | None) -> bool:
@@ -123,7 +131,8 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     split on depth first (ascending index, positive child first);
     coordinates that never go positive are projected to zero in one batch.
     With a ``selection``, splits on unselected neurons keep one child
-    (``_survivors``).
+    (``_survivors``).  Once ``stats`` is expired, returns the sets finished
+    so far.
     """
     out = []
     for s in inputs:
@@ -136,7 +145,7 @@ def _relu_set(s, selection, stats):
     # explicit worklist: a set can cross thousands of neuron hyperplanes
     out = []
     work = [(s, np.arange(s.ambient_dim))]
-    while work:
+    while work and not _expired(stats):
         s, candidates = work.pop()
         sub = s.vertices[:, candidates]
         goes_pos, goes_neg = (m.any(axis=0) for m in sides(sub, np.abs(sub)))
@@ -154,19 +163,18 @@ def _relu_set(s, selection, stats):
         k = int(news[0])
         h = coord_hyperplane(s.ambient_dim, k)
         pos_s, neg_s = split_by_hyperplane(s, h)
-        _bump(stats, "splits")
-        # sliver pruning applies to the raw split children; the projection
-        # below flattens the negative child on purpose and must not trigger it
+        _count_split(stats)
         pos_s, neg_s = (None if _pruned_empty(c) else c for c in (pos_s, neg_s))
-        if neg_s is not None:
-            neg_s = project_to_hyperplane(neg_s, k)
 
         sel_k = selection is None or bool(selection.selected[k])
         keep_pos, keep_neg = _survivors(pos_s, neg_s, sel_k, sel_k)
-        # pushed in reverse so the positive child's subtree comes out first
+        # the next sign pass zeroes k on the negative child and drops it on
+        # the positive one; a split that returns the set whole (a row with a
+        # non-finite entry classifies as 0) drops k, or it would repeat.
+        # Pushed in reverse so the positive child's subtree comes out first.
         for c, kept in ((neg_s, keep_neg), (pos_s, keep_pos)):
             if kept and c is not None:
-                work.append((c, news[1:]))
+                work.append((c, news[1:] if c is s else news))
     return out
 
 
@@ -176,7 +184,8 @@ def _domain_chain(s, pool, k, selection, stats):
     Applies the comparison hyperplanes involving ``k`` in pool pair order and
     keeps the side where ``dims[k]`` wins.  Comparisons that do not cross the
     set are decided by vertex signs (an all-tie comparison counts as won by
-    the lower coordinate).  Returns None when the domain dies.
+    the lower coordinate).  Returns None when the domain dies or ``stats``
+    expires.
     """
     for i, j in pool.pairs():
         if k not in (i, j):
@@ -195,10 +204,10 @@ def _domain_chain(s, pool, k, selection, stats):
         if sel_i != sel_j and sel_i != want_pos:
             return None
         p, n = split_by_hyperplane(s, h)
-        _bump(stats, "splits")
+        _count_split(stats)
         s = p if want_pos else n
         if not _survivors(p, n, sel_i, sel_j)[not want_pos] or \
-                _pruned_empty(s):
+                _pruned_empty(s) or _expired(stats):
             return None
     return s
 
@@ -241,25 +250,6 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     return out
 
 
-def pool_index(pools):
-    """``(idx, width)`` of disjoint ``pools``: row ``r`` of the ``(P, 4)``
-    ``idx`` is the window of ``pools[r]``, padded with its last coordinate
-    (a repeat ties with it and loses, so it never crosses and never wins);
-    ``width`` is the input width the pools cover, or -1 if they leave a gap.
-    Raises LatticeError when there is no pool, pools overlap, or the
-    outputs are not a permutation of 0..n-1.
-    """
-    if not pools:
-        raise LatticeError("maxpool layer needs at least one pool")
-    if sorted(p.out for p in pools) != list(range(len(pools))):
-        raise LatticeError("pool outputs must be a permutation of 0..n-1")
-    counts = np.bincount(np.concatenate([p.dims for p in pools]))
-    if counts.max() > 1:
-        raise LatticeError("pools overlap")
-    idx = np.array([p.dims + p.dims[-1:] * (4 - len(p.dims)) for p in pools])
-    return idx, counts.size if counts.all() else -1
-
-
 def _settled_winners(v, idx):
     """Each pool's winner on a set with vertex rows ``v``, in one array pass.
 
@@ -280,38 +270,33 @@ def _settled_winners(v, idx):
     return np.where((has_pos & has_neg).any(axis=1), -1, settled)
 
 
-def maxpool_layer_reach(inputs, pools,
+def maxpool_layer_reach(inputs, layer,
                         selection: NeuronSelection | None = None,
                         stats: dict | None = None):
-    """Propagate sets through a maxpool layer of disjoint pools.
+    """Propagate sets through a maxpool ``LayerDesc`` (checked when built).
 
-    ``pools`` is a maxpool ``LayerDesc`` or a list of PoolSpec; the pools
-    must partition the input coordinates.  Each set is walked depth first
-    over the pools in list order.  A piece settles all the pools it has not
-    passed in one array pass (``_settled_winners``), with no split and no
-    classify call, and jumps over them up to the next crossed pool, whose
-    domains (``_pool_domains``) become new pieces; a pool that no
-    coordinate wins kills the piece.  Output coordinate ``pool.out``
-    receives ``pool``'s winner, and outputs come in lexicographic order of
-    the per-pool domains.
+    Each set is walked depth first over ``layer.pools`` in list order.  A
+    piece settles all the pools it has not passed in one array pass
+    (``_settled_winners``), with no split and no classify call, and jumps
+    over them up to the next crossed pool, whose domains
+    (``_pool_domains``) become new pieces; a pool that no coordinate wins
+    kills the piece.  Output coordinate ``pool.out`` receives ``pool``'s
+    winner, and outputs come in lexicographic order of the per-pool
+    domains.  Once ``stats`` is expired, returns the sets finished so far.
     """
-    layer = pools if hasattr(pools, "pool_idx") else None
-    pools = list(layer.pools if layer else pools)
+    pools = layer.pools
     outs = np.array([p.out for p in pools], dtype=np.intp)
-    # a loaded layer's pools were checked at load time, and its pool_idx
-    # rows are in out order; a PoolSpec list is checked here
-    idx, width = ((layer.pool_idx[outs], layer.width_in) if layer
-                  else pool_index(pools))
+    idx = layer.pool_idx[outs]  # pool_idx rows are in out order
 
     out = []
     for s in inputs:
-        if s.ambient_dim != width:
-            raise LatticeError("pools must cover the layer input coordinates")
+        if s.ambient_dim != layer.width_in:
+            raise LatticeError("set width does not match the maxpool input")
         _check_selection(selection, s)
         # (piece, first pool not passed, winners from there or None,
         #  output columns of the pools passed)
         work = [(s, 0, None, np.zeros(len(pools), dtype=np.intp))]
-        while work:
+        while work and not _expired(stats):
             t, pi, won, cols = work.pop()
             if won is None:
                 won = _settled_winners(t.vertices, idx[pi:])

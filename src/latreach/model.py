@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import LatticeError, LatticeSet, build_box_lattice
-from .layers import PoolSpec, as_int, pool_index
+from .layers import PoolSpec, as_int
 
 FLRW_MAGIC = b"FLRW"
 
@@ -30,9 +30,11 @@ class ModelError(ValueError):
 class LayerDesc:
     """One runtime layer: affine (W, b), relu, or maxpool (pools).
 
-    A maxpool layer also carries ``pool_idx``, the ``(width_out, 4)`` array
-    whose row ``r`` is the window of the pool that writes output ``r``;
-    forward, gradient and ``maxpool_layer_reach`` all read it.
+    A maxpool layer's pools must partition the input coordinates and write
+    the outputs 0..n-1 once each.  It also carries ``pool_idx``, the
+    ``(width_out, 4)`` array whose row ``r`` is the window of the pool that
+    writes output ``r``, padded with its last coordinate; forward, gradient
+    and ``maxpool_layer_reach`` all read it.
     """
 
     kind: str
@@ -66,17 +68,23 @@ class LayerDesc:
                 raise ModelError("relu must preserve width")
         else:
             pools = tuple(self.pools)
-            if any(len(p.dims) != 4 for p in pools):
-                raise ModelError("maxpool layers use 2x2 windows "
-                                 "(pools of 4 coordinates)")
-            try:
-                idx, width = pool_index(sorted(pools, key=lambda p: p.out))
-            except LatticeError as e:
-                raise ModelError(f"maxpool layer: {e}") from e
-            if width != self.width_in:
-                raise ModelError("maxpool pools must cover the layer input")
+            if not pools:
+                raise ModelError("maxpool layer needs at least one pool")
+            outs = [p.out for p in pools]
+            if sorted(outs) != list(range(len(pools))):
+                raise ModelError("maxpool pool outputs must be a permutation "
+                                 "of 0..n-1")
+            counts = np.bincount(np.concatenate([p.dims for p in pools]),
+                                 minlength=self.width_in)
+            if counts.size != self.width_in or (counts != 1).any():
+                raise ModelError("maxpool pools must partition the layer input")
             if self.width_out != len(pools):
                 raise ModelError("maxpool width_out must equal pool count")
+            # a repeat of the last coordinate ties with it and loses, so a
+            # padded entry never crosses and never wins
+            idx = np.empty((len(pools), 4), dtype=np.intp)
+            idx[outs] = [p.dims + p.dims[-1:] * (4 - len(p.dims))
+                         for p in pools]
             idx.setflags(write=False)
             object.__setattr__(self, "pools", pools)
             object.__setattr__(self, "pool_idx", idx)
@@ -237,6 +245,9 @@ def _append_layer(layers: list, entry, width: int, folder: Path) -> int:
     if kind == "maxpool":
         pools = tuple(PoolSpec(tuple(p["dims"]), p["out"])
                       for p in entry["pools"])
+        if any(len(p.dims) != 4 for p in pools):
+            raise ModelError("maxpool layers use 2x2 windows "
+                             "(pools of 4 coordinates)")
         layers.append(LayerDesc("maxpool", width, len(pools), pools=pools))
         return len(pools)
     if kind == "conv":

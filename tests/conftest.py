@@ -186,6 +186,17 @@ def write_conv_pool_model(path, seed, pool_outs=range(8)):
     return path
 
 
+def maxpool_layer(pools, width_in=None):
+    """A maxpool LayerDesc over ``pools``, by default as wide as their
+    coordinates."""
+    from latreach import LayerDesc
+
+    pools = tuple(pools)
+    if width_in is None:
+        width_in = sum(len(p.dims) for p in pools)
+    return LayerDesc("maxpool", width_in, len(pools), pools=pools)
+
+
 def random_toy_net(seed):
     """Seeded small network + input spec for oracle-based testing."""
     from latreach import LayerDesc, Network, InputSpec, PoolSpec

@@ -10,7 +10,9 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import latreach.engine
-from latreach import ModelError, ReachConfig, ReachResult, reach
+from latreach import (InputSpec, LatticeSet, LayerDesc, ModelError, Network,
+                      ReachConfig, ReachResult, build_box_lattice, reach,
+                      verify)
 from latreach.cli import (main, _hull2d, load_input_vector, _parse_constraint,
                           _read_sets, _write_result)
 from latreach.engine import iter_set_records, result_to_dict
@@ -132,6 +134,16 @@ def test_verify_safe_unsafe_boundary(tmp_path, capsys):
     v = json.loads(stdout)
     assert (code, v["status"]) == (0, "SAFE")
     assert v["boundary_contact"] is True
+
+
+def test_verify_nan_margin_is_no_boundary_contact():
+    net = Network((LayerDesc("affine", 2, 2, np.eye(2), np.zeros(2)),), 2,
+                  ("a", "b"))
+    spec = InputSpec(np.array([0.6, 0.3]), (0, 1), 0.1)
+    seg = build_box_lattice([0.0], [1.0])
+    s = LatticeSet(seg.lattice, [[1.0, 0.0], [np.nan, 0.0]], seg.vertices)
+    v = verify(net, spec, ReachConfig(), ReachResult([s], 1, 0.0, 1, False))
+    assert (v.status, v.boundary_contact) == ("SAFE", False)
 
 
 def test_verify_fast_never_safe(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """End-to-end reachability runs, neuron selection, backtracking, dumps."""
 
+import time
 import warnings
 
 import numpy as np
@@ -131,6 +132,25 @@ def test_reach_timeout_truncates():
     res = reach(net, spec, ReachConfig(timeout=1e-6))
     assert res.truncated
     assert res.set_count == 0
+
+
+def test_reach_timeout_stops_inside_a_wide_layer():
+    # the deadline passes inside a 200-wide ReLU layer: the run stops at
+    # the next split instead of finishing the layer (about 15k splits),
+    # also when that layer is the last one
+    rng = np.random.default_rng(0)
+    W1 = rng.normal(size=(200, 2))
+    b1 = 0.3 * rng.normal(size=200)
+    net = relu_net(W1, b1, rng.normal(size=(2, 200)), np.zeros(2),
+                   ("a", "b"))
+    last = Network(net.layers[:2], 2, tuple(map(str, range(200))))
+    spec = InputSpec(np.zeros(2), (0, 1), 1.0)
+    for net in (net, last):
+        t0 = time.perf_counter()
+        res = reach(net, spec, ReachConfig(timeout=0.2, max_sets=50))
+        assert time.perf_counter() - t0 < 0.4
+        assert res.truncated and res.set_count == 0
+        assert res.counters["sets_per_layer"][1] > 0  # stopped in the layer
 
 
 def test_reach_max_sets_truncates():

@@ -1,14 +1,16 @@
 """Layer propagation tests: ReLU recursion, maxpool domains, fast mode."""
 
+import time
+
 import numpy as np
 import pytest
 
-from latreach import (LatticeError, Hyperplane, PoolSpec, NeuronSelection,
-                      build_box_lattice, affine_transform, validate_set,
-                      relu_layer_reach, maxpool_pool_reach,
+from latreach import (LatticeError, LatticeSet, Hyperplane, PoolSpec, NeuronSelection,
+                      ModelError, build_box_lattice, affine_transform,
+                      validate_set, relu_layer_reach, maxpool_pool_reach,
                       maxpool_layer_reach, affine_layer_reach)
 from latreach.layers import _domain_chain
-from conftest import dedup_vertex_set, in_union
+from conftest import dedup_vertex_set, in_union, maxpool_layer
 
 
 def quadrant_box():
@@ -96,6 +98,42 @@ def test_relu_many_parallel_crossings_do_not_recurse():
     assert (outs[-1].vertices == 0).all()
 
 
+def test_relu_non_finite_row_ends():
+    # rows (inf, 0.5) and (1, -0.5): the inf row classifies as 0 on x1
+    # (inf * 0 is nan) while its own x1 is positive, so the split on x1
+    # keeps the set whole; the worklist must drop x1 then, not split again
+    seg = build_box_lattice([0.0], [1.0])
+    s = affine_transform(seg, np.array([[1.0], [-1.0]]), np.array([0.0, 0.5]))
+    v = s.vertices.copy()
+    v[0, 0] = np.inf
+    s = LatticeSet(s.lattice, v, s.region_vertices)
+    stats = {"deadline": time.monotonic() + 5.0}
+    with np.errstate(invalid="ignore"):
+        outs = relu_layer_reach([s], stats=stats)
+    assert "expired" not in stats and stats["splits"] == 1
+    assert len(outs) == 1
+
+
+def test_layers_stop_once_stats_expire():
+    # past the deadline, a layer returns the sets it finished before its
+    # first split (none here): each maxpool domain chain of the first set
+    # stops after one split, and the second set, where the domain of the
+    # constant x2 needs no split, is not started
+    box = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
+    sets = [affine_transform(box, np.array([[1.0, 0], [0, 1], [-1, -1]]),
+                             np.zeros(3)),
+            affine_transform(box, np.array([[1.0, 0], [0, 1], [0, 0]]),
+                             np.array([0.0, 0.0, 5.0]))]
+    layer = maxpool_layer([PoolSpec((0, 1, 2), 0)])
+    for run, splits in ((lambda st: relu_layer_reach([box], None, st), 1),
+                        (lambda st: maxpool_layer_reach(sets, layer, None,
+                                                        st), 3)):
+        stats = {"deadline": -np.inf}
+        assert run(stats) == [] and "expired" in stats
+        assert stats["splits"] == splits
+        assert run({})
+
+
 def test_relu_selection_width_checked():
     s = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
     with pytest.raises(LatticeError):
@@ -109,7 +147,7 @@ def test_relu_selection_width_checked():
         with pytest.raises(LatticeError, match="selection width"):
             maxpool_pool_reach([s], pool, sel)
         with pytest.raises(LatticeError, match="selection width"):
-            maxpool_layer_reach([s], [pool], sel)
+            maxpool_layer_reach([s], maxpool_layer([pool]), sel)
 
 
 def test_relu_fast_none_selected():
@@ -237,7 +275,7 @@ def test_maxpool_layer_two_pools():
     hi = [1.0, 1.1, 0.9, 1.05, 0.98, 1.01, 0.99, 1.04]
     s = build_box_lattice(lo, hi)
     pools = [PoolSpec((0, 1, 2, 3), 0), PoolSpec((4, 5, 6, 7), 1)]
-    outs = maxpool_layer_reach([s], pools)
+    outs = maxpool_layer_reach([s], maxpool_layer(pools))
     assert len(outs) == 16
     for o in outs:
         validate_set(o)
@@ -254,7 +292,7 @@ def test_maxpool_layer_out_order_respected():
     s = build_box_lattice(lo, hi)
     # second pool writes output column 0
     pools = [PoolSpec((0, 1, 2, 3), 1), PoolSpec((4, 5, 6, 7), 0)]
-    outs = maxpool_layer_reach([s], pools)
+    outs = maxpool_layer_reach([s], maxpool_layer(pools))
     for o in outs:
         assert np.allclose(o.vertices[:, 0],
                            o.region_vertices[:, 4:].max(axis=1), atol=1e-9)
@@ -263,17 +301,15 @@ def test_maxpool_layer_out_order_respected():
 
 
 def test_maxpool_layer_validation():
-    s = build_box_lattice([-1.0] * 8, [1.0] * 8)
+    for pools in ([PoolSpec((0, 1, 2, 3), 0), PoolSpec((3, 4, 5, 6), 1)],
+                  [PoolSpec((0, 1, 2, 3), 0)],  # no cover
+                  [PoolSpec((0, 1, 2, 3), 0), PoolSpec((4, 5, 6, 7), 2)],
+                  []):
+        with pytest.raises(ModelError):
+            maxpool_layer(pools, 8)
+    layer = maxpool_layer([PoolSpec((0, 1, 2, 3), 0)])
     with pytest.raises(LatticeError):
-        maxpool_layer_reach([s], [PoolSpec((0, 1, 2, 3), 0),
-                                  PoolSpec((3, 4, 5, 6), 1)])
-    with pytest.raises(LatticeError):
-        maxpool_layer_reach([s], [PoolSpec((0, 1, 2, 3), 0)])  # no cover
-    with pytest.raises(LatticeError):
-        maxpool_layer_reach([s], [PoolSpec((0, 1, 2, 3), 0),
-                                  PoolSpec((4, 5, 6, 7), 2)])
-    with pytest.raises(LatticeError):
-        maxpool_layer_reach([s], [])
+        maxpool_layer_reach([build_box_lattice([-1.0] * 8, [1.0] * 8)], layer)
 
 
 def test_maxpool_fast_outputs_inside_exact(rng):
@@ -319,8 +355,8 @@ def test_fast_maxpool_centroid_fallback_keeps_every_set():
         sel = NeuronSelection(rng.random(n) < rng.choice([0.0, 0.3]))
         starved += all(_domain_chain(s, pools[0], k, sel, None) is None
                        for k in range(n))
-        exact = maxpool_layer_reach([s], pools)
-        fast = maxpool_layer_reach([s], pools, sel)
+        exact = maxpool_layer_reach([s], maxpool_layer(pools))
+        fast = maxpool_layer_reach([s], maxpool_layer(pools), sel)
         assert exact and fast
         assert ({dedup_vertex_set(o) for o in fast}
                 <= {dedup_vertex_set(o) for o in exact})

@@ -15,7 +15,7 @@ from latreach import (LatticeSet, PoolSpec, NeuronSelection, ZERO_TOL,
                       reach)
 from latreach import lattice, layers
 from latreach.layers import _pool_domains
-from conftest import write_conv_pool_model
+from conftest import maxpool_layer, write_conv_pool_model
 
 
 def reference_maxpool_layer(inputs, pools, selection=None, stats=None):
@@ -137,7 +137,8 @@ def test_settled_pools_match_per_pool_loop():
         inputs = [s, affine_transform(s, np.eye(s.ambient_dim),
                                       rng.normal(size=s.ambient_dim) * 0.1)]
         got_stats, want_stats = {}, {}
-        got = maxpool_layer_reach(inputs, pools, selection, got_stats)
+        got = maxpool_layer_reach(inputs, maxpool_layer(pools), selection,
+                                  got_stats)
         want = reference_maxpool_layer(inputs, pools, selection, want_stats)
         assert_same_sets(got, want)
         assert got_stats.get("splits", 0) == want_stats.get("splits", 0)
@@ -147,13 +148,6 @@ def test_settled_pools_match_per_pool_loop():
         seen["died"] += died
         seen["settled_only"] += not want_stats.get("splits")
         if len(pools) >= 32:
-            # the engine's path: the loaded layer's out-ordered index
-            layer = LayerDesc("maxpool", s.ambient_dim, len(pools),
-                              pools=tuple(pools))
-            layer_stats = {}
-            assert_same_sets(maxpool_layer_reach(inputs, layer, selection,
-                                                 layer_stats), want)
-            assert layer_stats == got_stats
             seen["wide_split"] += bool(want_stats.get("splits"))
             seen["wide_died"] += died
             seen["wide_out"] += bool(want)
@@ -170,7 +164,7 @@ def test_tolerance_cycle_kills_the_set():
     s = affine_transform(box, W, b)
     pools = [PoolSpec((0, 1, 2, 3), 0)]
     stats = {}
-    assert maxpool_layer_reach([s], pools, stats=stats) == []
+    assert maxpool_layer_reach([s], maxpool_layer(pools), stats=stats) == []
     assert reference_maxpool_layer([s], pools) == []
     assert stats.get("splits", 0) == 0
 
@@ -188,7 +182,7 @@ def test_non_finite_set_takes_the_domain_chain():
     pools = [PoolSpec((0, 1), 1), PoolSpec((2, 3), 0)]
     with np.errstate(invalid="ignore"):
         got_stats, want_stats = {}, {}
-        got = maxpool_layer_reach([s], pools, stats=got_stats)
+        got = maxpool_layer_reach([s], maxpool_layer(pools), stats=got_stats)
         want = reference_maxpool_layer([s], pools, stats=want_stats)
     assert len(want) == 1
     assert_same_sets(got, want)
@@ -206,20 +200,15 @@ def test_new_pieces_get_fresh_winners(monkeypatch):
     s = affine_transform(seg, np.array([[1.0], [0.0], [1.0], [0.0]]),
                          np.zeros(4))
     pools = [PoolSpec((0, 1), 0), PoolSpec((2, 3), 1)]
-    outs = maxpool_layer_reach([s], pools)
+    outs = maxpool_layer_reach([s], maxpool_layer(pools))
     assert len(outs) == 2
     assert len(calls) == 2  # one per domain chain of the first pool
 
 
-def test_engine_reach_takes_the_loaded_pool_index(tmp_path, monkeypatch):
+def test_engine_reach_takes_the_loaded_pool_index(tmp_path):
     # pools listed out of output order
     net = load_model(write_conv_pool_model(tmp_path / "net.json", 5,
                                            range(7, -1, -1)))
-
-    def no_index(pools):
-        raise AssertionError("pool_index called on a loaded layer")
-
-    monkeypatch.setattr(layers, "pool_index", no_index)
     lattice._box_structure.cache_clear()
     x = np.random.default_rng(5).uniform(0, 1, 48)
     for px in range(5):  # one-pixel fast reaches, as falsify runs them
@@ -254,18 +243,16 @@ def loop_pool_backward(layer, u, g):
 def test_pool_index_forward_and_gradient_match_loops():
     rng = np.random.default_rng(7)
     for _ in range(30):
-        n_pools = int(rng.integers(1, 7))
-        coords = rng.permutation(4 * n_pools)
-        outs = rng.permutation(n_pools)
-        pools = tuple(PoolSpec(coords[4 * i:4 * i + 4], outs[i])
-                      for i in range(n_pools))
-        pool = LayerDesc("maxpool", 4 * n_pools, n_pools, pools=pools)
+        # 2-, 3- and 4-coordinate windows: short ones are padded rows
+        m = int(rng.integers(2, 25))
+        pool = maxpool_layer(random_pools(rng, m))
+        n_pools = pool.width_out
         W = rng.normal(size=(3, n_pools))
         net = Network((pool, LayerDesc("affine", n_pools, 3, W,
                                        np.zeros(3))),
-                      4 * n_pools, ("a", "b", "c"))
+                      m, ("a", "b", "c"))
         # small integers plant ties inside most windows
-        x = rng.integers(-2, 3, size=4 * n_pools).astype(float)
+        x = rng.integers(-2, 3, size=m).astype(float)
         if rng.random() < 0.5:
             x += rng.normal(size=x.size) * (rng.random(x.size) < 0.3)
         want = loop_pool_forward(pool, x)
