@@ -71,10 +71,12 @@ def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
            result=None) -> Verdict:
     """Check that the whole input box keeps the baseline's class.
 
-    Exact non-truncated runs are decisive (SAFE or UNSAFE).  A touched but
-    never crossed boundary is SAFE with ``boundary_contact`` set.  Fast mode
-    without a violation is UNKNOWN; truncation without a violation is
-    TIMEOUT.  Every UNSAFE witness is re-checked with a forward pass.
+    Exact non-truncated runs are decisive (SAFE or UNSAFE), unless an
+    output or region vertex is not finite (overflowed arithmetic proves
+    nothing): then no violation gives UNKNOWN.  A touched but never crossed
+    boundary is SAFE with ``boundary_contact`` set.  Fast mode without a
+    violation is UNKNOWN; truncation without a violation is TIMEOUT.  Every
+    UNSAFE witness is re-checked with a forward pass.
     ``result`` reuses an existing reach run for the same net/spec/cfg.
     """
     if len(net.labels) < 2:
@@ -107,7 +109,9 @@ def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
         status = "UNSAFE"
     elif res.truncated:
         status = "TIMEOUT"
-    elif cfg.mode == "exact":
+    elif cfg.mode == "exact" and all(np.isfinite(s.vertices).all()
+                                     and np.isfinite(s.region_vertices).all()
+                                     for s in res.sets):
         status = "SAFE"
         if candidates:
             # strictly negative vertex margins that a forward re-check could

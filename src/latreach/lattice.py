@@ -31,6 +31,7 @@ import numpy as np
 
 ZERO_TOL = 1e-9
 MAX_BOX_DIM = 10
+_I32 = np.iinfo(np.int32)
 
 # split sign bits indexed by label: 0 -> 0, +1 -> 1, -1 -> 2
 _SIGN_BITS = np.array([0, 1, 2], dtype=np.int8)
@@ -59,10 +60,6 @@ class Hyperplane:
         a.setflags(write=False)
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", b)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Signed values ``a.x + b`` for a point or a matrix of row points."""
-        return points @ self.normal + self.offset
 
 
 def coord_hyperplane(ambient_dim: int, i: int, j: int | None = None,
@@ -103,35 +100,47 @@ class FaceLattice:
     ascending dimension with the single top face last, so ``dims`` gives
     ``n_vertices`` (the 0-faces) and ``top_dim``; ``ids`` are stable
     across splits (kept faces keep their id, new faces draw from
-    ``next_id``).  Instances are treated as immutable once built.
+    ``next_id``).  ``ids``, ``dims``, ``child_ptr`` and ``child_idx`` are
+    read-only int32 views of one buffer; a value or ``next_id`` outside
+    int32 raises LatticeError.  Instances are immutable once built.
     """
 
-    __slots__ = ("ids", "dims", "child_ptr", "child_idx", "n_vertices",
-                 "top_dim", "next_id", "_dim_start")
+    __slots__ = ("_buf", "n_faces", "n_vertices", "top_dim", "next_id")
 
     def __init__(self, ids, dims, child_ptr, child_idx, next_id):
-        self.ids = np.ascontiguousarray(ids, dtype=np.int64)
-        self.dims = np.ascontiguousarray(dims, dtype=np.int16)
-        self.child_ptr = np.ascontiguousarray(child_ptr, dtype=np.int64)
-        self.child_idx = np.ascontiguousarray(child_idx, dtype=np.int32)
-        self.next_id = int(next_id)
-        for arr in (self.ids, self.dims, self.child_ptr, self.child_idx):
-            arr.setflags(write=False)
-        if self.dims.size == 0:
+        parts = [np.asarray(a) for a in (ids, dims, child_ptr, child_idx)]
+        nf = parts[0].size
+        if parts[1].size != nf or parts[2].size != nf + 1:
+            raise LatticeError("inconsistent array sizes")
+        if nf == 0:
             raise LatticeError("empty lattice")
-        # dim k occupies positions dim_start[k]:dim_start[k+1]
+        self.next_id = int(next_id)
+        # int32 input needs no value check: positions and pointers built as
+        # int32 stay below the buffer size, so bounding that covers them
+        if (sum(a.size for a in parts) > _I32.max
+                or not _I32.min <= self.next_id <= _I32.max
+                or any(a.dtype != _I32.dtype and a.size
+                       and (a.min() < _I32.min or a.max() > _I32.max)
+                       for a in parts)):
+            raise LatticeError("lattice does not fit int32")
+        buf = np.concatenate(parts, dtype=np.int32, casting="unsafe")
+        buf.setflags(write=False)
+        self._buf, self.n_faces = buf, nf
         self.top_dim = int(self.dims[-1])
-        self._dim_start = np.searchsorted(
-            self.dims, np.arange(max(self.top_dim, 0) + 2))
-        self.n_vertices = int(self._dim_start[1])
+        self.n_vertices = int(self.dims.searchsorted(1))
 
-    @property
-    def n_faces(self) -> int:
-        return self.ids.size
+    # [ids | dims | child_ptr | child_idx], the first three n_faces long
+    # (child_ptr one more); views are made on access, not stored
+    ids = property(lambda self: self._buf[:self.n_faces])
+    dims = property(lambda self: self._buf[self.n_faces:2 * self.n_faces])
+    child_ptr = property(
+        lambda self: self._buf[2 * self.n_faces:3 * self.n_faces + 1])
+    child_idx = property(lambda self: self._buf[3 * self.n_faces + 1:])
 
     def dim_range(self, k: int):
         """Half-open position range of the faces of dimension ``k``."""
-        return int(self._dim_start[k]), int(self._dim_start[k + 1])
+        lo, hi = self.dims.searchsorted((k, k + 1))
+        return int(lo), int(hi)
 
     def children_of(self, pos: int) -> np.ndarray:
         return self.child_idx[self.child_ptr[pos]:self.child_ptr[pos + 1]]
@@ -152,7 +161,7 @@ class FaceLattice:
                 f"n_vertices={self.n_vertices}, top_dim={self.top_dim})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeSet:
     """A convex set: face lattice plus vertex coordinates.
 
@@ -195,7 +204,7 @@ def _box_structure(d: int):
     pos = {t: i for i, t in enumerate(tags)}
 
     dims = np.fromiter((sum(x == FREE for x in t) for t in tags),
-                       dtype=np.int16, count=len(tags))
+                       dtype=np.int32, count=len(tags))
     children = []
     for t in tags:
         kids = []
@@ -204,12 +213,13 @@ def _box_structure(d: int):
                 for rep in (LOW, HIGH):
                     kids.append(pos[t[:axis] + (rep,) + t[axis + 1:]])
         children.append(kids)
-    ptr = np.zeros(len(tags) + 1, dtype=np.int64)
+    ptr = np.zeros(len(tags) + 1, dtype=np.int32)
     ptr[1:] = np.cumsum([len(k) for k in children])
     idx = np.fromiter(itertools.chain.from_iterable(children),
                       dtype=np.int32, count=int(ptr[-1]))
 
-    lat = FaceLattice(np.arange(len(tags)), dims, ptr, idx, len(tags))
+    lat = FaceLattice(np.arange(len(tags), dtype=np.int32), dims, ptr, idx,
+                      len(tags))
     high = np.array(tags[:lat.n_vertices]) == HIGH
     high.setflags(write=False)
     return lat, high
@@ -296,7 +306,10 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
     lat = s.lattice
     nf = lat.n_faces
     nv = lat.n_vertices
-    ptr, idx = lat.child_ptr, lat.child_idx
+    # numpy converts int32 index arrays to intp on every use: convert once
+    ptr, idx = lat.child_ptr.astype(np.intp), lat.child_idx.astype(np.intp)
+    # dim k occupies positions start[k]:start[k + 1]
+    start = lat.dims.searchsorted(np.arange(lat.top_dim + 2)).tolist()
     labels = cls.labels
     vals = cls.values
 
@@ -306,7 +319,7 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
     flags = np.zeros(nf, dtype=np.int8)
     flags[:nv] = _SIGN_BITS[labels]
     for k in range(1, lat.top_dim + 1):
-        lo, hi = lat.dim_range(k)
+        lo, hi = start[k], start[k + 1]
         a, b = ptr[lo], ptr[hi]
         flags[lo:hi] = np.bitwise_or.reduceat(flags[idx[a:b]], ptr[lo:hi] - a)
     cut = flags == 3
@@ -323,7 +336,7 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
 
     # crossing edges: interpolate all at once; an edge whose parameter is
     # not finite (interpolation underflow) is treated as non-intersecting
-    lo, hi = lat.dim_range(1)
+    lo, hi = start[1], start[2]
     edges = lo + (cut[lo:hi] & (section[lo:hi] < 0)).nonzero()[0]
     v0, v1 = idx[ptr[edges]], idx[ptr[edges] + 1]
     v0_pos = labels[v0] > 0
@@ -362,8 +375,8 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
     # then the children of each new face
     extra_owner = np.concatenate((src, nf + n_edges + kid_owner[once]))
     extra_kid = np.concatenate((nf + np.arange(n_new), kid[once]))
-    shared = (owner, lat.dims[src] - 1, extra_owner, extra_kid, new_verts,
-              new_regions)
+    shared = (owner, idx, lat.dims[src] - 1, extra_owner, extra_kid,
+              new_verts, new_regions)
     pos_set = _assemble_side(s, flags != 2, *shared)
     neg_set = _assemble_side(s, flags != 1, *shared)
     return pos_set, neg_set
@@ -378,7 +391,7 @@ def _gather(ptr, idx, rows):
     return idx[np.arange(rank.size) + shift[rank]], rank
 
 
-def _assemble_side(s, keep, owner, new_dims, extra_owner, extra_kid,
+def _assemble_side(s, keep, owner, idx, new_dims, extra_owner, extra_kid,
                    new_verts, new_regions):
     """Build one output of a two-sided split from kept faces plus sections."""
     lat = s.lattice
@@ -391,17 +404,18 @@ def _assemble_side(s, keep, owner, new_dims, extra_owner, extra_kid,
     dims = np.concatenate((lat.dims[old], new_dims))
     order = (2 * dims + (codes >= nf)).argsort(kind="stable")
     codes, dims = codes[order], dims[order]
-    pos_of = np.full(nf + n_new, -1, dtype=np.int64)
+    pos_of = np.full(nf + n_new, -1, dtype=np.int32)
     pos_of[codes] = np.arange(codes.size)
-    ids = np.concatenate((lat.ids, lat.next_id + np.arange(n_new)))[codes]
+    new_ids = lat.next_id + np.arange(n_new, dtype=np.int32)
+    ids = np.concatenate((lat.ids, new_ids))[codes]
 
     # kept children of kept faces, then the shared section entries; a stable
     # sort by owner position keeps each face's old children first
-    own = (keep[owner] & keep[lat.child_idx]).nonzero()[0]
+    own = (keep[owner] & keep[idx]).nonzero()[0]
     kid_owner = pos_of[np.concatenate((owner[own], extra_owner))]
-    kids = pos_of[np.concatenate((lat.child_idx[own], extra_kid))]
+    kids = pos_of[np.concatenate((idx[own], extra_kid))]
     kids = kids[kid_owner.argsort(kind="stable")]
-    ptr = np.zeros(codes.size + 1, dtype=np.int64)
+    ptr = np.zeros(codes.size + 1, dtype=np.int32)
     np.cumsum(np.bincount(kid_owner, minlength=codes.size), out=ptr[1:])
 
     old_v = keep[:lat.n_vertices]
@@ -409,15 +423,6 @@ def _assemble_side(s, keep, owner, new_dims, extra_owner, extra_kid,
     regions = np.concatenate((s.region_vertices[old_v], new_regions))
     out = FaceLattice(ids, dims, ptr, kids, lat.next_id + n_new)
     return LatticeSet(out, verts, regions)
-
-
-def project_to_hyperplane(s: LatticeSet, coord: int) -> LatticeSet:
-    """Orthogonal projection onto ``x[coord] = 0``; lattice reused as-is."""
-    if not 0 <= coord < s.ambient_dim:
-        raise LatticeError(f"coordinate {coord} out of range")
-    v = s.vertices.copy()
-    v[:, coord] = 0.0
-    return LatticeSet(s.lattice, v, s.region_vertices)
 
 
 def eliminate_dims(s: LatticeSet, keep) -> LatticeSet:
@@ -434,10 +439,6 @@ def eliminate_dims(s: LatticeSet, keep) -> LatticeSet:
 def validate_lattice(lat: FaceLattice) -> None:
     """Check structural invariants, raising LatticeError on the first hit."""
     nf = lat.n_faces
-    if nf == 0:
-        raise LatticeError("empty lattice")
-    if lat.ids.size != lat.dims.size or lat.child_ptr.size != nf + 1:
-        raise LatticeError("inconsistent array sizes")
     if np.unique(lat.ids).size != nf:
         raise LatticeError("face ids are not unique")
     if np.any(np.diff(lat.dims) < 0):
@@ -508,9 +509,10 @@ def set_from_dict(d: dict) -> LatticeSet:
     duplicate face id or a child id that names no face raises LatticeError.
     """
     recs = sorted(d["faces"], key=lambda r: r["dim"])  # stable
+    # int64, not int32: FaceLattice range-checks them, a cast could wrap
     ids = np.array([r["id"] for r in recs], dtype=np.int64)
-    dims = np.array([r["dim"] for r in recs], dtype=np.int16)
-    ptr = np.zeros(len(recs) + 1, dtype=np.int64)
+    dims = np.array([r["dim"] for r in recs], dtype=np.int64)
+    ptr = np.zeros(len(recs) + 1, dtype=np.int32)
     ptr[1:] = np.cumsum([len(r["children"]) for r in recs])
     kid_ids = np.fromiter(
         itertools.chain.from_iterable(r["children"] for r in recs),

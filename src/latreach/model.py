@@ -382,9 +382,3 @@ def embed_box(spec: InputSpec, lo, hi) -> LatticeSet:
     emb = np.tile(spec.baseline, (box.n_vertices, 1))
     emb[:, list(spec.perturbed_coords)] = box.vertices
     return LatticeSet(box.lattice, emb, emb.copy())
-
-
-def build_input_set(spec: InputSpec) -> LatticeSet:
-    """Hyperbox input set: each perturbed coordinate moves by +-epsilon."""
-    centers = spec.baseline[list(spec.perturbed_coords)]
-    return embed_box(spec, centers - spec.epsilon, centers + spec.epsilon)

@@ -47,6 +47,18 @@ def model_two_pixel_race(tmp_path):
     return write(tmp_path / "race.json", json.dumps(doc))
 
 
+def model_overflow(tmp_path, scale):
+    # W1 = scale * [[1, 0], [0, 1], [1, -1]], W2 = [[s, s, 1], [1, -s, s]]
+    s = scale
+    doc = {"input_width": 2, "labels": ["a", "b"],
+           "layers": [{"kind": "affine", "W": [[s, 0], [0, s], [s, -s]],
+                       "b": [0, 0, 0]},
+                      {"kind": "relu"},
+                      {"kind": "affine", "W": [[s, s, 1], [1, -s, s]],
+                       "b": [1, 0]}]}
+    return write(tmp_path / "overflow.json", json.dumps(doc))
+
+
 def baseline_csv(tmp_path, values, name="x.csv"):
     return write(tmp_path / name, ",".join(str(v) for v in values))
 
@@ -143,7 +155,21 @@ def test_verify_nan_margin_is_no_boundary_contact():
     seg = build_box_lattice([0.0], [1.0])
     s = LatticeSet(seg.lattice, [[1.0, 0.0], [np.nan, 0.0]], seg.vertices)
     v = verify(net, spec, ReachConfig(), ReachResult([s], 1, 0.0, 1, False))
-    assert (v.status, v.boundary_contact) == ("SAFE", False)
+    assert (v.status, v.boundary_contact) == ("UNKNOWN", False)
+
+
+def test_verify_overflow_is_never_safe(tmp_path, capsys):
+    # at 1e200 the vertices overflow to inf, and inf - inf gives nan: an
+    # exact run whose vertices are not all finite proves nothing
+    x = baseline_csv(tmp_path, [0.0, 0.0])
+    argv = verify_args(model_overflow(tmp_path, 1e200), x, 1.0)
+    with (pytest.warns(RuntimeWarning, match="invalid value"),
+          pytest.warns(RuntimeWarning, match="overflow")):
+        code, stdout, _ = run(argv, capsys)
+    assert (code, json.loads(stdout)["status"]) == (2, "UNKNOWN")
+    code, stdout, _ = run(verify_args(model_overflow(tmp_path, 1e2), x, 1.0),
+                          capsys)
+    assert (code, json.loads(stdout)["status"]) == (1, "UNSAFE")
 
 
 def test_verify_fast_never_safe(tmp_path, capsys):
@@ -269,7 +295,8 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
 
 @pytest.mark.parametrize("corrupt, message", [
     ("unknown_child", "child id names no face"),
-    ("duplicate_id", "duplicate face id")])
+    ("duplicate_id", "duplicate face id"),
+    ("id_past_int32", "does not fit int32")])
 def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])
@@ -280,6 +307,8 @@ def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     faces = doc["sets"][1]["faces"]
     if corrupt == "unknown_child":
         faces[-1]["children"][0] = max(f["id"] for f in faces) + 1
+    elif corrupt == "id_past_int32":
+        faces[-1]["id"] = 2 ** 31  # the top face: no child list names it
     else:
         faces[1]["id"] = faces[0]["id"]
     out.write_text(json.dumps(doc))

@@ -1,6 +1,7 @@
 """End-to-end reachability runs, neuron selection, backtracking, dumps."""
 
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -227,6 +228,22 @@ def test_reach_workers_match_sequential(budget, done):
     a = [sorted(dedup_vertex_set(s)) for s in seq.sets]
     b = [sorted(dedup_vertex_set(s)) for s in par.sets]
     assert a == b
+
+
+def test_reach_memory_per_set():
+    # 269 exact sets; tracemalloc counts the bytes the finished sets hold:
+    # 32.6 kB a set with int64 lattice arrays kept apart, 27.4 kB with one
+    # int32 buffer per lattice and slotted sets
+    net, spec = random_toy_net(13)
+    reach(net, spec, ReachConfig())  # box lattice cache filled before
+    tracemalloc.start()
+    try:
+        res = reach(net, spec, ReachConfig())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert res.set_count == 269
+    assert held / res.set_count < 30_000
 
 
 def test_fast_outputs_inside_exact(rng):

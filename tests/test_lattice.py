@@ -3,15 +3,15 @@
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from latreach import (FaceLattice, LatticeSet, Hyperplane, LatticeError,
                       build_box_lattice, affine_transform, classify_vertices,
-                      split_by_hyperplane, project_to_hyperplane,
-                      eliminate_dims, validate_lattice, validate_set,
-                      set_to_dict, set_from_dict)
+                      split_by_hyperplane, eliminate_dims, validate_lattice,
+                      validate_set, set_to_dict, set_from_dict)
 from latreach.lattice import coord_hyperplane, sides
 from conftest import tetra_set, hull_face_counts_3d
 
@@ -264,21 +264,14 @@ def test_tetra_split_against_hull_oracle():
     assert neg.lattice.counts_by_dim() == hull_face_counts_3d(neg.vertices)
 
 
-def test_project_and_eliminate():
+def test_eliminate_dims():
     s = build_box_lattice([1.0, 2.0], [3.0, 4.0])
-    p = project_to_hyperplane(s, 0)
-    assert (p.vertices[:, 0] == 0.0).all()
-    assert np.array_equal(p.vertices[:, 1], s.vertices[:, 1])
-    assert p.lattice is s.lattice
-
     e = eliminate_dims(s, [1, 0])
     assert np.array_equal(e.vertices, s.vertices[:, [1, 0]])
     with pytest.raises(LatticeError):
         eliminate_dims(s, [])
     with pytest.raises(LatticeError):
         eliminate_dims(s, [2])
-    with pytest.raises(LatticeError):
-        project_to_hyperplane(s, 5)
 
 
 def test_validator_catches_corruption():
@@ -306,8 +299,6 @@ def test_hyperplane_validation():
         Hyperplane([0.0, 0.0], 1.0)
     with pytest.raises(LatticeError):
         Hyperplane([], 0.0)
-    h = Hyperplane([3.0, 4.0], 1.0)
-    assert h.evaluate(np.array([1.0, 1.0])) == pytest.approx(8.0)
     # a non-finite normal or offset has no side to put a vertex on
     for normal, offset in [([np.inf, 0.0], 0.0), ([np.nan, 1.0], 0.0),
                            ([1.0, 0.0], np.inf), ([1.0, 0.0], -np.inf),
@@ -345,6 +336,39 @@ def test_lattice_sizes_follow_dims():
         FaceLattice([], [], [0], [], 0)
     with pytest.raises(LatticeError, match="empty lattice"):
         set_from_dict({"faces": [], "vertices": [], "region": []})
+    with pytest.raises(LatticeError, match="inconsistent array sizes"):
+        FaceLattice([7], [0], [0], [], 8)
+
+
+def test_lattice_values_must_fit_int32():
+    lat = build_box_lattice([0.0], [1.0]).lattice
+    args = [lat.ids, lat.dims, lat.child_ptr, lat.child_idx, lat.next_id]
+    # an id, a pointer, an index or next_id past int32 raises, never wraps
+    for i, value in [(0, [0, 1, 2 ** 31]), (2, [0, 0, 0, 2 ** 31]),
+                     (3, [0, -2 ** 31 - 1]), (4, 2 ** 31)]:
+        with pytest.raises(LatticeError, match="int32"):
+            FaceLattice(*args[:i], value, *args[i + 1:])
+    # in-range input of any integer type is stored as read-only int32
+    wide = FaceLattice(*(np.asarray(a, dtype=np.int64) for a in args[:4]),
+                       lat.next_id)
+    for name in ("ids", "dims", "child_ptr", "child_idx"):
+        x, y = getattr(wide, name), getattr(lat, name)
+        assert x.dtype == np.int32 and np.array_equal(x, y), name
+        assert not x.flags.writeable, name
+
+
+def test_split_set_pickles_unchanged():
+    # worker processes send sets back pickled
+    s = build_box_lattice([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    pos, _ = split_by_hyperplane(s, Hyperplane([1.0, 1.0, 1.0], -1.2))
+    back = pickle.loads(pickle.dumps(pos))
+    for name in ("ids", "dims", "child_ptr", "child_idx"):
+        x, y = getattr(back.lattice, name), getattr(pos.lattice, name)
+        assert x.dtype == y.dtype == np.int32 and np.array_equal(x, y), name
+    assert back.lattice.next_id == pos.lattice.next_id
+    for name in ("vertices", "region_vertices"):
+        x, y = getattr(back, name), getattr(pos, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def test_dump_roundtrip(rng):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from latreach import (ModelError, InputSpec, ReachConfig, load_model,
-                      forward, gradient, reach, build_input_set, write_flrw,
-                      validate_set)
+                      forward, gradient, reach, write_flrw, validate_set)
 from latreach.cli import main
-from latreach.model import _read_flrw
+from latreach.model import _read_flrw, embed_box
 
 
 def write_model(tmp_path, doc, name="net.json"):
@@ -339,7 +338,7 @@ def test_gradient_relu_layer_entries(tmp_path):
 
 def test_input_set_single_coordinate():
     spec = InputSpec(np.array([0.2, 0.7, 0.9]), (1,), 0.5)
-    s = build_input_set(spec)
+    s = embed_box(spec, [0.2], [1.2])
     validate_set(s)
     assert s.vertices.shape == (2, 3)
     got = {tuple(np.round(v, 9)) for v in s.vertices}
@@ -348,14 +347,15 @@ def test_input_set_single_coordinate():
 
 
 def test_input_set_zero_epsilon():
-    s = build_input_set(InputSpec(np.array([0.5, 0.5]), (0,), 0.0))
+    s = embed_box(InputSpec(np.array([0.5, 0.5]), (0,), 0.0), [0.5], [0.5])
     assert s.vertices.shape == (2, 2)
     assert np.allclose(s.vertices, 0.5)
 
 
 def test_input_set_three_coordinates():
     base = np.linspace(0.0, 1.0, 6)
-    s = build_input_set(InputSpec(base, (0, 2, 5), 0.1))
+    s = embed_box(InputSpec(base, (0, 2, 5), 0.1), base[[0, 2, 5]] - 0.1,
+                  base[[0, 2, 5]] + 0.1)
     assert s.vertices.shape == (8, 6)
     assert s.lattice.n_faces == 27
     # untouched coordinates stay at baseline
@@ -365,7 +365,8 @@ def test_input_set_three_coordinates():
 def test_input_set_dimension_cap():
     base = np.zeros(20)
     with pytest.raises(Exception):
-        build_input_set(InputSpec(base, tuple(range(12)), 0.1))
+        embed_box(InputSpec(base, tuple(range(12)), 0.1), base[:12] - 0.1,
+                  base[:12] + 0.1)
 
 
 def test_input_spec_validation(tmp_path):
@@ -387,7 +388,7 @@ def test_input_spec_validation(tmp_path):
         with pytest.raises(ModelError, match="finite"):
             InputSpec(base, (0, 1), eps)
     with pytest.raises(ModelError):
-        build_input_set(InputSpec(np.zeros(3), (), 0.1))
+        InputSpec(np.zeros(3), (), 0.1)
     net = load_model(write_model(tmp_path, {
         "input_width": 2, "labels": ["a", "b"], "layers": [{"kind": "relu"}]}))
     with pytest.raises(ModelError, match="at least one perturbed"):
