@@ -18,12 +18,12 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .lattice import coord_hyperplane, sides
+from .lattice import as_int, coord_hyperplane, sides
 from .model import (Network, InputSpec, ModelError, load_model, forward,
                     gradient)
 from .engine import (ReachConfig, reach, backtrack, write_result,
@@ -145,10 +145,13 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
     runs a fast reach over it, adopts the output vertex minimizing the
     margin (the current image is itself a candidate, so the margin never
     increases), and stops on a re-verified misclassification, the pixel
-    budget, or the timeout.
+    budget, or the timeout.  Bad budgets raise ValueError before any work.
     """
     if len(net.labels) < 2:
         raise ModelError("falsification needs at least two classes")
+    if as_int(max_pixels, "max_pixels") < 1:
+        raise ValueError("max_pixels must be >= 1")
+    step = ReachConfig(mode="fast", relaxation=relaxation, timeout=timeout)
     x0 = np.asarray(image, dtype=float).ravel()
     y0 = forward(net, x0)
     c = int(np.argmax(y0))
@@ -180,11 +183,9 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
 
         remaining = (None if deadline is None
                      else max(deadline - time.monotonic(), 1e-3))
-        cfg = ReachConfig(mode="fast", relaxation=relaxation,
-                          timeout=remaining)
         step_t = time.perf_counter()
-        res = reach(net, InputSpec(cur, tuple(groups[target]), epsilon), cfg,
-                    grads)
+        res = reach(net, InputSpec(cur, tuple(groups[target]), epsilon),
+                    replace(step, timeout=remaining), grads)
         total_sets += res.set_count
 
         best = (margin, cur)

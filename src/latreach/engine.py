@@ -4,12 +4,13 @@ and result dumps.
 ``reach`` folds a list of sets through the network layer by layer.  The
 input box can be partitioned (repeated bisection of the widest perturbed
 coordinate) and partitions run independently, in-process or on a process
-pool; ``workers`` chooses only where they run, never the result.  Budgets
-are cooperative: a partition checks the deadline before every layer and
-after every split, and its own set count before every layer; the run
-checks the total set count after each partition.  Completed partitions are
-kept in order, the first truncated partition ends the run, partitions not
-yet started are cancelled, and the result is flagged truncated.
+pool; ``workers`` chooses only where they run, never the result.  A
+partition stops once its deadline passes or more than ``max_sets`` of its
+sets are alive (``layers._expired``, checked at every worklist pop, after
+every maxpool split and after every layer); the run checks the total set
+count after each partition.  Completed partitions are kept in order, the
+first truncated partition ends the run, partitions not yet started are
+cancelled, and the result is flagged truncated.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import (LatticeSet, split_by_hyperplane, set_to_dict,
+from .lattice import (LatticeSet, as_int, split_by_hyperplane, set_to_dict,
                       set_from_dict)
 from .layers import (NeuronSelection, affine_layer_reach, relu_layer_reach,
-                     maxpool_layer_reach, as_int)
+                     maxpool_layer_reach, _expired)
 from .model import (Network, InputSpec, ModelError, Gradients, embed_box,
                     forward, gradient)
 
@@ -58,7 +59,7 @@ class ReachConfig:
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.partitions < 1 or self.workers < 1 or self.max_sets < 1:
             raise ValueError("partitions, workers and max_sets must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:  # nan too
             raise ValueError("timeout must be positive")
 
 
@@ -126,16 +127,13 @@ def _partition_box(lo, hi, k):
 def _propagate_partition(net, spec, selections, deadline, max_sets, box):
     """Run the input sub-box ``box = (lo, hi)`` through all layers.
 
-    Returns (sets_or_None, stats); None means the deadline or the set cap
-    interrupted this partition before some layer, or the deadline passed
-    during one (the layer functions stop once ``stats`` is expired).
+    Returns (sets_or_None, stats); None means the budget (``_expired``)
+    fired inside a layer or at the end of one.
     """
     stats = {"splits": 0, "sets_per_layer": [0] * len(net.layers),
-             "deadline": deadline}
+             "deadline": deadline, "max_sets": max_sets}
     sets = [embed_box(spec, *box)]
     for i, layer in enumerate(net.layers):
-        if time.monotonic() > deadline or len(sets) > max_sets:
-            return None, stats
         sel = selections.get(i) if selections else None
         if layer.kind == "affine":
             sets = affine_layer_reach(sets, layer.W, layer.b)
@@ -144,7 +142,7 @@ def _propagate_partition(net, spec, selections, deadline, max_sets, box):
         else:
             sets = maxpool_layer_reach(sets, layer, sel, stats)
         stats["sets_per_layer"][i] += len(sets)
-        if "expired" in stats:
+        if _expired(stats, len(sets)):
             return None, stats
     return sets, stats
 

@@ -41,6 +41,18 @@ class LatticeError(ValueError):
     """Raised when a lattice or set violates a structural invariant."""
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral value raises
+    LatticeError naming ``what`` instead of being truncated."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or isinstance(value, (bool, np.bool_)):
+        raise LatticeError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Oriented hyperplane ``{x : a.x + b = 0}`` with normal ``a``."""
@@ -182,6 +194,11 @@ class LatticeSet:
         r.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "region_vertices", r)
+
+    def __setstate__(self, state):
+        # the dataclass pickles the fields in order; unpickling would skip
+        # __post_init__ and leave the arrays writable
+        self.__init__(*state)
 
     @property
     def ambient_dim(self) -> int:
@@ -506,16 +523,18 @@ def set_from_dict(d: dict) -> LatticeSet:
     """Rebuild a set from :func:`set_to_dict` output.
 
     Vertex rows are matched to dim-0 face records in listing order.  A
-    duplicate face id or a child id that names no face raises LatticeError.
+    duplicate face id, a child id that names no face, and a bool or
+    non-integral id, dim or child id raise LatticeError.
     """
     recs = sorted(d["faces"], key=lambda r: r["dim"])  # stable
-    # int64, not int32: FaceLattice range-checks them, a cast could wrap
-    ids = np.array([r["id"] for r in recs], dtype=np.int64)
-    dims = np.array([r["dim"] for r in recs], dtype=np.int64)
+    # int64, not int32: FaceLattice range-checks them, a cast could wrap;
+    # as_int first, or the cast would truncate 8.7 to 8
+    ids, dims = (np.array([as_int(r[key], f"face {key}") for r in recs],
+                          dtype=np.int64) for key in ("id", "dim"))
     ptr = np.zeros(len(recs) + 1, dtype=np.int32)
     ptr[1:] = np.cumsum([len(r["children"]) for r in recs])
     kid_ids = np.fromiter(
-        itertools.chain.from_iterable(r["children"] for r in recs),
+        (as_int(k, "child id") for r in recs for k in r["children"]),
         dtype=np.int64, count=int(ptr[-1]))
     by_id = np.argsort(ids)
     sorted_ids = ids[by_id]

@@ -17,21 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeError, LatticeSet, coord_hyperplane, sides,
-                      classify_vertices, eliminate_dims, affine_transform,
-                      split_by_hyperplane)
-
-
-def as_int(value, what: str) -> int:
-    """``value`` as an int; a bool or a non-integral value raises
-    LatticeError naming ``what`` instead of being truncated."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value or isinstance(value, (bool, np.bool_)):
-        raise LatticeError(f"{what} must be an integer, got {value!r}")
-    return n
+from .lattice import (LatticeError, LatticeSet, as_int, coord_hyperplane,
+                      sides, classify_vertices, eliminate_dims,
+                      affine_transform, split_by_hyperplane)
 
 
 @dataclass(frozen=True)
@@ -75,14 +63,17 @@ class NeuronSelection:
 
 
 def _count_split(stats):
-    """Count one split in ``stats``; past its ``deadline``, mark it expired."""
     if stats is not None:
         stats["splits"] = stats.get("splits", 0) + 1
-        if time.monotonic() > stats.get("deadline", np.inf):
-            stats["expired"] = True
 
 
-def _expired(stats) -> bool:
+def _expired(stats, alive: int = 0) -> bool:
+    """The one budget rule: ``stats`` expires for good once its ``deadline``
+    has passed or more than its ``max_sets`` sets are ``alive``."""
+    if stats is not None and "expired" not in stats and (
+            alive > stats.get("max_sets", np.inf)
+            or time.monotonic() > stats.get("deadline", np.inf)):
+        stats["expired"] = True
     return stats is not None and "expired" in stats
 
 
@@ -106,8 +97,9 @@ def affine_layer_reach(inputs, W, b):
     return [affine_transform(s, W, b) for s in inputs]
 
 
-def _check_selection(selection, s):
-    if selection is not None and selection.width != s.ambient_dim:
+def _check_selection(selection, inputs):
+    if selection is not None and any(s.ambient_dim != selection.width
+                                     for s in inputs):
         raise LatticeError("selection width does not match layer input")
 
 
@@ -131,21 +123,15 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     split on depth first (ascending index, positive child first);
     coordinates that never go positive are projected to zero in one batch.
     With a ``selection``, splits on unselected neurons keep one child
-    (``_survivors``).  Once ``stats`` is expired, returns the sets finished
-    so far.
+    (``_survivors``).  Stops at the first pop where ``_expired`` fires
+    (finished plus waiting sets alive) and returns the sets finished so far.
     """
+    _check_selection(selection, inputs)
     out = []
-    for s in inputs:
-        _check_selection(selection, s)
-        out.extend(_relu_set(s, selection, stats))
-    return out
-
-
-def _relu_set(s, selection, stats):
-    # explicit worklist: a set can cross thousands of neuron hyperplanes
-    out = []
-    work = [(s, np.arange(s.ambient_dim))]
-    while work and not _expired(stats):
+    # one explicit stack, popped in input order (a set can cross thousands
+    # of neuron hyperplanes); every pop checks the budget
+    work = [(s, np.arange(s.ambient_dim)) for s in reversed(inputs)]
+    while work and not _expired(stats, len(out) + len(work)):
         s, candidates = work.pop()
         sub = s.vertices[:, candidates]
         goes_pos, goes_neg = (m.any(axis=0) for m in sides(sub, np.abs(sub)))
@@ -238,11 +224,11 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     Output columns are the unpooled coordinates with the winning pool
     coordinate inserted at position ``pool.out``.
     """
+    _check_selection(selection, inputs)
     out = []
     for s in inputs:
         if max(pool.dims) >= s.ambient_dim:
             raise LatticeError("pool coordinate out of range")
-        _check_selection(selection, s)
         for piece, k in _pool_domains(s, pool, selection, stats):
             keep = [c for c in range(piece.ambient_dim) if c not in pool.dims]
             keep.insert(min(pool.out, len(keep)), pool.dims[k])
@@ -282,38 +268,38 @@ def maxpool_layer_reach(inputs, layer,
     (``_pool_domains``) become new pieces; a pool that no coordinate wins
     kills the piece.  Output coordinate ``pool.out`` receives ``pool``'s
     winner, and outputs come in lexicographic order of the per-pool
-    domains.  Once ``stats`` is expired, returns the sets finished so far.
+    domains.  Stops, as ReLU does, at the first pop where ``_expired`` fires.
     """
     pools = layer.pools
     outs = np.array([p.out for p in pools], dtype=np.intp)
     idx = layer.pool_idx[outs]  # pool_idx rows are in out order
 
+    if any(s.ambient_dim != layer.width_in for s in inputs):
+        raise LatticeError("set width does not match the maxpool input")
+    _check_selection(selection, inputs)
     out = []
-    for s in inputs:
-        if s.ambient_dim != layer.width_in:
-            raise LatticeError("set width does not match the maxpool input")
-        _check_selection(selection, s)
-        # (piece, first pool not passed, winners from there or None,
-        #  output columns of the pools passed)
-        work = [(s, 0, None, np.zeros(len(pools), dtype=np.intp))]
-        while work and not _expired(stats):
-            t, pi, won, cols = work.pop()
-            if won is None:
-                won = _settled_winners(t.vertices, idx[pi:])
-            open_ = np.flatnonzero(won < 0)
-            n = int(open_[0]) if open_.size else won.size
-            cols[outs[pi:pi + n]] = idx[np.arange(pi, pi + n), won[:n]]
-            if n == won.size:
-                out.append(eliminate_dims(t, cols))
-                continue
-            if won[n] == -2:
-                continue
-            pi += n
-            pool = pools[pi]
-            # pushed in reverse so the first domain's subtree comes out first
-            for piece, k in reversed(_pool_domains(t, pool, selection, stats)):
-                c2 = cols.copy()
-                c2[pool.out] = pool.dims[k]
-                work.append((piece, pi + 1,
-                             won[n + 1:] if piece is t else None, c2))
+    # (piece, first pool not passed, winners from there or None,
+    #  output columns of the pools passed), one stack for every input
+    work = [(s, 0, None, np.zeros(len(pools), dtype=np.intp))
+            for s in reversed(inputs)]
+    while work and not _expired(stats, len(out) + len(work)):
+        t, pi, won, cols = work.pop()
+        if won is None:
+            won = _settled_winners(t.vertices, idx[pi:])
+        open_ = np.flatnonzero(won < 0)
+        n = int(open_[0]) if open_.size else won.size
+        cols[outs[pi:pi + n]] = idx[np.arange(pi, pi + n), won[:n]]
+        if n == won.size:
+            out.append(eliminate_dims(t, cols))
+            continue
+        if won[n] == -2:
+            continue
+        pi += n
+        pool = pools[pi]
+        # pushed in reverse so the first domain's subtree comes out first
+        for piece, k in reversed(_pool_domains(t, pool, selection, stats)):
+            c2 = cols.copy()
+            c2[pool.out] = pool.dims[k]
+            work.append((piece, pi + 1,
+                         won[n + 1:] if piece is t else None, c2))
     return out

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeError, LatticeSet, build_box_lattice
-from .layers import PoolSpec, as_int
+from .lattice import LatticeError, LatticeSet, as_int, build_box_lattice
+from .layers import PoolSpec
 
 FLRW_MAGIC = b"FLRW"
 

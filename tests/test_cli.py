@@ -228,6 +228,20 @@ def test_falsify_budget_exhausted_unknown(tmp_path, capsys):
     assert v["final_margin"] > 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-pixels", "0"), ("--max-pixels", "-3"),
+    ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan")])
+def test_falsify_bad_budget_exits_4(tmp_path, capsys, flag, value):
+    # checked before any work, as reach checks its own budgets
+    model = model_two_pixel_race(tmp_path)
+    img = baseline_csv(tmp_path, [0.9, 0.5, 0.5, 0.2], "img.csv")
+    opts = {"--epsilon": "0.5", "--max-pixels": "4", flag: value}
+    code, stdout, err = run(["falsify", "--model", model, "--image", img,
+                             *(x for kv in opts.items() for x in kv)], capsys)
+    assert (code, stdout) == (4, "")
+    assert ("max_pixels" if flag == "--max-pixels" else "timeout") in err
+
+
 def test_falsify_ranks_pixels_like_per_pixel_norm(tmp_path, capsys, rng):
     # the 24 pixels' gradients hold the same 4 values in every order, so the
     # norms tie up to rounding and the visiting order pins the rounding of
@@ -296,7 +310,8 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
 @pytest.mark.parametrize("corrupt, message", [
     ("unknown_child", "child id names no face"),
     ("duplicate_id", "duplicate face id"),
-    ("id_past_int32", "does not fit int32")])
+    ("id_past_int32", "does not fit int32"),
+    ("fractional_id", "face id must be an integer")])
 def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])
@@ -309,6 +324,8 @@ def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
         faces[-1]["children"][0] = max(f["id"] for f in faces) + 1
     elif corrupt == "id_past_int32":
         faces[-1]["id"] = 2 ** 31  # the top face: no child list names it
+    elif corrupt == "fractional_id":
+        faces[-1]["id"] += 0.7
     else:
         faces[1]["id"] = faces[0]["id"]
     out.write_text(json.dumps(doc))

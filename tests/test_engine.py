@@ -12,6 +12,7 @@ from latreach import (Hyperplane, InputSpec, LayerDesc, Network, ReachConfig,
                       ModelError, reach, backtrack, select_neurons,
                       forward, result_to_dict, sets_from_dict, validate_set,
                       verify)
+from latreach.engine import DEFAULT_MAX_SETS
 from conftest import (batch_forward, check_soundness, completeness_error,
                       dedup_vertex_set, in_union, random_toy_net)
 
@@ -100,8 +101,9 @@ def test_reach_config_validation():
         ReachConfig(relaxation=1.5)
     with pytest.raises(ValueError):
         ReachConfig(partitions=0)
-    with pytest.raises(ValueError):
-        ReachConfig(timeout=0.0)
+    for timeout in (0.0, float("nan")):  # a nan deadline never passes
+        with pytest.raises(ValueError):
+            ReachConfig(timeout=timeout)
     with pytest.raises(ValueError):
         ReachConfig(workers=0)
     # sizes must be integers: no truncation, no bools
@@ -135,23 +137,43 @@ def test_reach_timeout_truncates():
     assert res.set_count == 0
 
 
-def test_reach_timeout_stops_inside_a_wide_layer():
-    # the deadline passes inside a 200-wide ReLU layer: the run stops at
-    # the next split instead of finishing the layer (about 15k splits),
-    # also when that layer is the last one
+def wide_relu_net():
+    # affine 2 -> 200, ReLU, affine 200 -> 2 over the box +-1 around 0: the
+    # whole ReLU layer builds about 15k sets
     rng = np.random.default_rng(0)
     W1 = rng.normal(size=(200, 2))
     b1 = 0.3 * rng.normal(size=200)
     net = relu_net(W1, b1, rng.normal(size=(2, 200)), np.zeros(2),
                    ("a", "b"))
+    return net, InputSpec(np.zeros(2), (0, 1), 1.0)
+
+
+def test_reach_timeout_stops_inside_a_wide_layer():
+    # the deadline passes inside the 200-wide ReLU layer: the run stops at
+    # the next pop instead of finishing the layer, also when that layer is
+    # the last one; with max_sets=50 the set cap fires first
+    net, spec = wide_relu_net()
     last = Network(net.layers[:2], 2, tuple(map(str, range(200))))
-    spec = InputSpec(np.zeros(2), (0, 1), 1.0)
     for net in (net, last):
-        t0 = time.perf_counter()
-        res = reach(net, spec, ReachConfig(timeout=0.2, max_sets=50))
-        assert time.perf_counter() - t0 < 0.4
-        assert res.truncated and res.set_count == 0
-        assert res.counters["sets_per_layer"][1] > 0  # stopped in the layer
+        for max_sets in (50, DEFAULT_MAX_SETS):
+            t0 = time.perf_counter()
+            res = reach(net, spec, ReachConfig(timeout=0.2,
+                                               max_sets=max_sets))
+            assert time.perf_counter() - t0 < 0.4
+            assert res.truncated and res.set_count == 0
+            assert res.counters["sets_per_layer"][1] > 0  # stopped in it
+
+
+def test_reach_set_cap_stops_inside_a_wide_layer():
+    # the cap fires once 51 sets are alive, not after the layer has built
+    # its 15k sets (8.4 s and 15,377 splits when it was checked only
+    # between layers)
+    net, spec = wide_relu_net()
+    t0 = time.perf_counter()
+    res = reach(net, spec, ReachConfig(timeout=30, max_sets=50))
+    assert time.perf_counter() - t0 < 0.5
+    assert res.truncated and res.set_count == 0
+    assert 0 < res.counters["splits"] <= 60
 
 
 def test_reach_max_sets_truncates():
@@ -225,6 +247,9 @@ def test_reach_workers_match_sequential(budget, done):
     assert par.truncated == seq.truncated == bool(budget)
     assert par.set_count == seq.set_count
     assert par.counters == seq.counters
+    # sets unpickled from the workers are as read-only as in-process ones
+    assert not any(a.flags.writeable for s in par.sets
+                   for a in (s.vertices, s.region_vertices))
     a = [sorted(dedup_vertex_set(s)) for s in seq.sets]
     b = [sorted(dedup_vertex_set(s)) for s in par.sets]
     assert a == b

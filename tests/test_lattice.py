@@ -369,6 +369,7 @@ def test_split_set_pickles_unchanged():
     for name in ("vertices", "region_vertices"):
         x, y = getattr(back, name), getattr(pos, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert not x.flags.writeable, name
 
 
 def test_dump_roundtrip(rng):
@@ -435,6 +436,32 @@ def test_dump_unknown_child_id_rejected(bad_child):
     d["faces"][-1]["children"][1] = bad_child
     with pytest.raises(LatticeError, match="child id"):
         set_from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("id", 8.7), ("dim", 2.5), ("children", 5.2),
+    ("id", True), ("dim", np.False_), ("children", True)])
+def test_dump_non_integral_values_rejected(key, value):
+    # an int64 cast would read 8.7 back as 8 and True as 1
+    d = set_to_dict(build_box_lattice([0.0, 0.0], [1.0, 1.0]))
+    top = d["faces"][-1]  # id 8, dim 2, children 4-7
+    if key == "children":
+        top["children"][1] = value
+    else:
+        top[key] = value
+    with pytest.raises(LatticeError, match="must be an integer"):
+        set_from_dict(d)
+
+
+def test_dump_integral_floats_read_as_ints():
+    box = build_box_lattice([0.0, 0.0], [1.0, 1.0])
+    d = set_to_dict(box)
+    top = d["faces"][-1]
+    top["id"], top["dim"] = 8.0, 2.0
+    top["children"] = [float(c) for c in top["children"]]
+    back = set_from_dict(d)
+    assert back.lattice.ids.tolist() == box.lattice.ids.tolist()
+    assert back.lattice.child_idx.tolist() == box.lattice.child_idx.tolist()
 
 
 def test_dump_duplicate_face_id_rejected():

@@ -9,6 +9,7 @@ from latreach import (LatticeError, LatticeSet, Hyperplane, PoolSpec, NeuronSele
                       ModelError, build_box_lattice, affine_transform,
                       validate_set, relu_layer_reach, maxpool_pool_reach,
                       maxpool_layer_reach, affine_layer_reach)
+from latreach import layers
 from latreach.layers import _domain_chain
 from conftest import dedup_vertex_set, in_union, maxpool_layer
 
@@ -114,24 +115,44 @@ def test_relu_non_finite_row_ends():
     assert len(outs) == 1
 
 
-def test_layers_stop_once_stats_expire():
-    # past the deadline, a layer returns the sets it finished before its
-    # first split (none here): each maxpool domain chain of the first set
-    # stops after one split, and the second set, where the domain of the
-    # constant x2 needs no split, is not started
+def test_layers_stop_once_stats_expire(monkeypatch):
+    # a layer entered after its deadline returns at once, with no split
     box = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
     sets = [affine_transform(box, np.array([[1.0, 0], [0, 1], [-1, -1]]),
                              np.zeros(3)),
             affine_transform(box, np.array([[1.0, 0], [0, 1], [0, 0]]),
                              np.array([0.0, 0.0, 5.0]))]
     layer = maxpool_layer([PoolSpec((0, 1, 2), 0)])
-    for run, splits in ((lambda st: relu_layer_reach([box], None, st), 1),
-                        (lambda st: maxpool_layer_reach(sets, layer, None,
-                                                        st), 3)):
+    for run in (lambda st: relu_layer_reach([box], None, st),
+                lambda st: maxpool_layer_reach(sets, layer, None, st)):
         stats = {"deadline": -np.inf}
         assert run(stats) == [] and "expired" in stats
-        assert stats["splits"] == splits
+        assert "splits" not in stats
         assert run({})
+    # the deadline passes at the first split: each maxpool domain chain of
+    # the first set stops after one split, and the second set, where the
+    # domain of the constant x2 needs no split, is not started
+    stats = {"deadline": np.inf}
+    split = layers.split_by_hyperplane
+
+    def split_past_deadline(s, h):
+        stats["deadline"] = -np.inf
+        return split(s, h)
+
+    monkeypatch.setattr(layers, "split_by_hyperplane", split_past_deadline)
+    assert maxpool_layer_reach(sets, layer, None, stats) == []
+    assert "expired" in stats and stats["splits"] == 3
+
+
+def test_relu_set_cap_stops_inside_the_layer():
+    # on the 1,200-kink segment each split leaves one more set alive (done
+    # or waiting); with max_sets 3 the layer stops at the pop that sees 4
+    seg = build_box_lattice([-1.0], [1.0])
+    s = affine_transform(seg, np.ones((1200, 1)), np.linspace(-0.9, 0.9, 1200))
+    stats = {"max_sets": 3}
+    outs = relu_layer_reach([s], stats=stats)
+    assert "expired" in stats and stats["splits"] == 3
+    assert len(outs) == 2
 
 
 def test_relu_selection_width_checked():
