@@ -205,7 +205,7 @@ def backtrack(result_set: LatticeSet, constraints) -> LatticeSet | None:
     """
     cur = result_set
     for h in constraints:
-        cur, _ = split_by_hyperplane(cur, h)
+        cur, _ = split_by_hyperplane(cur, h, (True, False))
         if cur is None:
             return None
     return LatticeSet(cur.lattice, cur.region_vertices, cur.region_vertices)

@@ -76,12 +76,25 @@ class Hyperplane:
 
 def coord_hyperplane(ambient_dim: int, i: int, j: int | None = None,
                      offset: float = 0.0) -> Hyperplane:
-    """``x[i] - x[j] + offset = 0``, or ``x[i] + offset = 0`` without ``j``."""
+    """``x[i] - x[j] + offset = 0``, or ``x[i] + offset = 0`` without ``j``.
+
+    The normal is a finite non-empty vector by construction, so of
+    Hyperplane's checks only ``i != j`` and a finite ``offset`` remain.
+    """
+    b = float(offset)
+    if i == j:
+        raise LatticeError("hyperplane normal must be nonzero")
+    if not np.isfinite(b):
+        raise LatticeError("hyperplane normal and offset must be finite")
     a = np.zeros(ambient_dim)
-    a[i] += 1.0
+    a[i] = 1.0
     if j is not None:
-        a[j] -= 1.0
-    return Hyperplane(a, offset)
+        a[j] = -1.0
+    a.setflags(write=False)
+    h = object.__new__(Hyperplane)
+    object.__setattr__(h, "normal", a)
+    object.__setattr__(h, "offset", b)
+    return h
 
 
 def sides(values, scale):
@@ -126,18 +139,29 @@ class FaceLattice:
             raise LatticeError("inconsistent array sizes")
         if nf == 0:
             raise LatticeError("empty lattice")
-        self.next_id = int(next_id)
         # int32 input needs no value check: positions and pointers built as
-        # int32 stay below the buffer size, so bounding that covers them
-        if (sum(a.size for a in parts) > _I32.max
-                or not _I32.min <= self.next_id <= _I32.max
-                or any(a.dtype != _I32.dtype and a.size
-                       and (a.min() < _I32.min or a.max() > _I32.max)
-                       for a in parts)):
+        # int32 stay below the buffer size, which _adopt bounds
+        if any(a.dtype != _I32.dtype and a.size
+               and (a.min() < _I32.min or a.max() > _I32.max)
+               for a in parts):
             raise LatticeError("lattice does not fit int32")
-        buf = np.concatenate(parts, dtype=np.int32, casting="unsafe")
+        self._adopt(np.concatenate(parts, dtype=np.int32, casting="unsafe"),
+                    nf, next_id)
+
+    @classmethod
+    def _of_buffer(cls, buf, n_faces, next_id):
+        """A lattice over an int32 ``buf`` already laid out as below, with
+        no value scan (the split builds one)."""
+        lat = object.__new__(cls)
+        lat._adopt(buf, n_faces, next_id)
+        return lat
+
+    def _adopt(self, buf, n_faces, next_id):
+        next_id = int(next_id)
+        if buf.size > _I32.max or not _I32.min <= next_id <= _I32.max:
+            raise LatticeError("lattice does not fit int32")
         buf.setflags(write=False)
-        self._buf, self.n_faces = buf, nf
+        self._buf, self.n_faces, self.next_id = buf, n_faces, next_id
         self.top_dim = int(self.dims[-1])
         self.n_vertices = int(self.dims.searchsorted(1))
 
@@ -298,27 +322,32 @@ def classify_vertices(s: LatticeSet, h: Hyperplane) -> VertexClassification:
                                 bool(neg.any()), vals)
 
 
-def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
+def split_by_hyperplane(s: LatticeSet, h: Hyperplane, keep=(True, True),
+                        cls: VertexClassification | None = None):
     """Split ``s`` into its closed positive and negative restrictions.
 
-    Returns ``(positive, negative)`` where a side without strictly-signed
-    vertices comes back as None and the whole set is returned on the other
-    side (an all-zero set counts as positive).  When both sides are hit, the
-    section faces on the hyperplane are built once and shared: new vertices
-    are interpolated on the crossing edges (in both ``vertices`` and
-    ``region_vertices`` with the same parameter), each cut face gains a
-    section face one dimension lower, and existing all-zero faces are reused
-    as sections instead of being duplicated.
+    Returns ``(positive, negative)``, building only the sides that ``keep``
+    (a ``(positive, negative)`` pair of flags) asks for; a side not asked
+    for comes back as None.  ``cls`` is the caller's
+    ``classify_vertices(s, h)``, reused instead of classifying again.  A
+    side without strictly-signed vertices comes back as None and the whole
+    set is returned on the other side (an all-zero set counts as positive).
+    When both sides are hit, the section faces on the hyperplane are found
+    once for either side: new vertices are interpolated on the crossing
+    edges (in both ``vertices`` and ``region_vertices`` with the same
+    parameter), each cut face gains a section face one dimension lower, and
+    existing all-zero faces are reused as sections instead of being
+    duplicated.
 
     Everything runs on whole CSR arrays: sign flags are reduced once per
     dimension level, all crossing edges are interpolated together, and the
     children of every new section face are gathered in one flattened pass.
     """
-    cls = classify_vertices(s, h)
-    if not cls.has_neg:
-        return s, None
-    if not cls.has_pos:
-        return None, s
+    if cls is None:
+        cls = classify_vertices(s, h)
+    if not (cls.has_pos and cls.has_neg):
+        pos, neg = (s, None) if not cls.has_neg else (None, s)
+        return pos if keep[0] else None, neg if keep[1] else None
 
     lat = s.lattice
     nf = lat.n_faces
@@ -341,15 +370,19 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
         flags[lo:hi] = np.bitwise_or.reduceat(flags[idx[a:b]], ptr[lo:hi] - a)
     cut = flags == 3
     all_zero = flags == 0
+    # all-zero faces exist only where a vertex lies on the hyperplane; the
+    # steps that look for them are skipped when none does
+    on_plane = all_zero.any()
 
     # section[f]: position of the cut face f's section on the hyperplane,
     # either its first all-zero child or a new face coded as nf + j
     owner = np.repeat(np.arange(nf), ptr[1:] - ptr[:-1])
-    hit = (all_zero[idx] & cut[owner]).nonzero()[0]
-    first = np.ones(hit.size, dtype=bool)
-    first[1:] = owner[hit[1:]] != owner[hit[:-1]]
     section = np.full(nf, -1, dtype=np.int64)
-    section[owner[hit[first]]] = idx[hit[first]]
+    if on_plane:
+        hit = (all_zero[idx] & cut[owner]).nonzero()[0]
+        first = np.ones(hit.size, dtype=bool)
+        first[1:] = owner[hit[1:]] != owner[hit[:-1]]
+        section[owner[hit[first]]] = idx[hit[first]]
 
     # crossing edges: interpolate all at once; an edge whose parameter is
     # not finite (interpolation underflow) is treated as non-intersecting
@@ -363,40 +396,51 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane):
     cut[edges[~finite]] = False
     p, n = p[finite], n[finite]
     t = np.minimum(np.maximum(t[finite], 0.0), 1.0)[:, None]
-    new_verts = s.vertices[n] + t * (s.vertices[p] - s.vertices[n])
-    new_regions = (s.region_vertices[n]
-                   + t * (s.region_vertices[p] - s.region_vertices[n]))
+    vn, rn = s.vertices[n], s.region_vertices[n]
+    new_verts = vn + t * (s.vertices[p] - vn)
+    new_regions = rn + t * (s.region_vertices[p] - rn)
 
     # cut is final now: number the new section faces in position order, so
     # the new vertices (sections of edges) come first
-    src = (cut & (section < 0)).nonzero()[0]
+    from_src = cut & (section < 0)
+    src = from_src.nonzero()[0]
     n_new = src.size
-    section[src] = nf + np.arange(n_new)
+    new = nf + np.arange(n_new)
+    section[src] = new
 
-    # children of a new face of dimension >= 1: the sections of its source's
-    # cut children, then its source's all-zero grandchildren, each once (a
-    # stable sort by key puts a pair's first occurrence first); the entries
-    # stay ungrouped here, _assemble_side groups them by owner stably
-    n_edges = p.size
-    ch, rank = _gather(ptr, idx, src[n_edges:])
-    grand, grank = _gather(ptr, idx, ch)
+    # children of a new face of dimension >= 1 (coded by its source's
+    # section): the sections of its source's cut children, then its
+    # source's all-zero grandchildren, each once (a stable sort by key puts
+    # a pair's first occurrence first); the entries stay ungrouped here,
+    # _assemble_side groups them by owner stably
+    from_src[:start[2]] = False
+    at = from_src[owner].nonzero()[0]
+    ch, sec_owner = idx[at], section[owner[at]]
     sec = section[ch]
-    kid_owner = np.concatenate((rank[sec >= 0], rank[grank[all_zero[grand]]]))
-    kid = np.concatenate((sec[sec >= 0], grand[all_zero[grand]]))
-    key = kid_owner * (nf + n_new) + kid
-    by_key = key.argsort(kind="stable")
-    once = np.ones(key.size, dtype=bool)
-    once[by_key[1:]] = key[by_key[1:]] != key[by_key[:-1]]
+    kid_owner, kid = sec_owner[sec >= 0], sec[sec >= 0]
+    if on_plane:
+        grand, grank = _gather(ptr, idx, ch)
+        zero = all_zero[grand]
+        kid_owner = np.concatenate((kid_owner, sec_owner[grank[zero]]))
+        kid = np.concatenate((kid, grand[zero]))
+        key = kid_owner * (nf + n_new) + kid
+        by_key = key.argsort(kind="stable")
+        once = np.ones(key.size, dtype=bool)
+        once[by_key[1:]] = key[by_key[1:]] != key[by_key[:-1]]
+        kid_owner, kid = kid_owner[once], kid[once]
 
-    # entries shared by both sides: the section child of each source face,
-    # then the children of each new face
-    extra_owner = np.concatenate((src, nf + n_edges + kid_owner[once]))
-    extra_kid = np.concatenate((nf + np.arange(n_new), kid[once]))
-    shared = (owner, idx, lat.dims[src] - 1, extra_owner, extra_kid,
-              new_verts, new_regions)
-    pos_set = _assemble_side(s, flags != 2, *shared)
-    neg_set = _assemble_side(s, flags != 1, *shared)
-    return pos_set, neg_set
+    # faces and child entries of both sides, new faces coded nf + j: the
+    # old ones, then the sections (all-zero flags, so every side keeps
+    # them), the section child of each source face and the children of
+    # each new face; ids past int32 fail at next_id, checked when built
+    flags = np.concatenate((flags, np.zeros(n_new, dtype=np.int8)))
+    faces = (np.concatenate((lat.ids, lat.next_id - nf + new)),
+             np.concatenate((lat.dims, lat.dims[src] - 1)),
+             np.concatenate((owner, src, kid_owner)),
+             np.concatenate((idx, new, kid)))
+    return tuple(_assemble_side(s, flags != drop, *faces, new_verts,
+                                new_regions) if wanted else None
+                 for drop, wanted in ((2, keep[0]), (1, keep[1])))
 
 
 def _gather(ptr, idx, rows):
@@ -408,37 +452,35 @@ def _gather(ptr, idx, rows):
     return idx[np.arange(rank.size) + shift[rank]], rank
 
 
-def _assemble_side(s, keep, owner, idx, new_dims, extra_owner, extra_kid,
-                   new_verts, new_regions):
-    """Build one output of a two-sided split from kept faces plus sections."""
+def _assemble_side(s, keep, ids, dims, owner, kid, new_verts, new_regions):
+    """One side of a split, written straight into its int32 buffer:
+    the faces and child entries that ``keep`` marks, over the arrays of
+    old and new faces that ``split_by_hyperplane`` builds once."""
     lat = s.lattice
     nf = lat.n_faces
-    n_new = new_dims.size
-    # final positions sorted by (dim, old-before-new, original order); new
-    # faces are coded nf + j so old kept vertex rows land first
-    old = keep.nonzero()[0]
-    codes = np.concatenate((old, nf + np.arange(n_new)))
-    dims = np.concatenate((lat.dims[old], new_dims))
-    order = (2 * dims + (codes >= nf)).argsort(kind="stable")
-    codes, dims = codes[order], dims[order]
-    pos_of = np.full(nf + n_new, -1, dtype=np.int32)
-    pos_of[codes] = np.arange(codes.size)
-    new_ids = lat.next_id + np.arange(n_new, dtype=np.int32)
-    ids = np.concatenate((lat.ids, new_ids))[codes]
-
-    # kept children of kept faces, then the shared section entries; a stable
-    # sort by owner position keeps each face's old children first
-    own = (keep[owner] & keep[idx]).nonzero()[0]
-    kid_owner = pos_of[np.concatenate((owner[own], extra_owner))]
-    kids = pos_of[np.concatenate((idx[own], extra_kid))]
-    kids = kids[kid_owner.argsort(kind="stable")]
-    ptr = np.zeros(codes.size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(kid_owner, minlength=codes.size), out=ptr[1:])
+    # final positions sorted by (dim, old-before-new, original order), so
+    # old kept vertex rows land first
+    codes = keep.nonzero()[0]
+    codes = codes[(2 * dims[codes] + (codes >= nf)).argsort(kind="stable")]
+    n = codes.size
+    pos_of = np.empty(ids.size, dtype=np.intp)
+    pos_of[codes] = np.arange(n)
+    # kept children of kept faces, old entries before section ones; a
+    # stable sort by owner position keeps each face's old children first
+    own = keep[owner] & keep[kid]
+    kid_owner = pos_of[owner[own]]
+    buf = np.empty(3 * n + 1 + kid_owner.size, dtype=np.int32)
+    buf[:n] = ids[codes]
+    buf[n:2 * n] = dims[codes]
+    buf[2 * n] = 0
+    np.cumsum(np.bincount(kid_owner, minlength=n),
+              out=buf[2 * n + 1:3 * n + 1])
+    buf[3 * n + 1:] = pos_of[kid[own]][kid_owner.argsort(kind="stable")]
 
     old_v = keep[:lat.n_vertices]
     verts = np.concatenate((s.vertices[old_v], new_verts))
     regions = np.concatenate((s.region_vertices[old_v], new_regions))
-    out = FaceLattice(ids, dims, ptr, kids, lat.next_id + n_new)
+    out = FaceLattice._of_buffer(buf, n, lat.next_id + ids.size - nf)
     return LatticeSet(out, verts, regions)
 
 

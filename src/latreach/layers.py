@@ -164,20 +164,27 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     return out
 
 
-def _domain_chain(s, pool, k, selection, stats):
+def _domain_chain(s, pool, k, selection, stats, cuts=None):
     """Clip ``s`` to the domain where pool coordinate ``k`` is the maximum.
 
     Applies the comparison hyperplanes involving ``k`` in pool pair order and
     keeps the side where ``dims[k]`` wins.  Comparisons that do not cross the
     set are decided by vertex signs (an all-tie comparison counts as won by
-    the lower coordinate).  Returns None when the domain dies or ``stats``
-    expires.
+    the lower coordinate).  ``cuts`` keeps each pair's hyperplane and
+    classification on ``s`` itself for the pool's other chains.  Returns
+    None when the domain dies or ``stats`` expires, before or during the
+    chain.
     """
+    if _expired(stats):
+        return None
+    t, cuts = s, {} if cuts is None else cuts
     for i, j in pool.pairs():
         if k not in (i, j):
             continue
-        h = coord_hyperplane(s.ambient_dim, pool.dims[i], pool.dims[j])
-        cls = classify_vertices(s, h)
+        if (i, j) not in cuts:
+            h = coord_hyperplane(t.ambient_dim, pool.dims[i], pool.dims[j])
+            cuts[i, j] = h, classify_vertices(t, h)
+        h, cls = cuts[i, j]
         want_pos = i == k
         if not (cls.has_pos and cls.has_neg):
             if cls.has_neg == want_pos:
@@ -186,23 +193,26 @@ def _domain_chain(s, pool, k, selection, stats):
         sel_i, sel_j = ((True, True) if selection is None else
                         selection.selected[[pool.dims[i], pool.dims[j]]])
         # only the other coordinate is selected: _survivors keeps just its
-        # side, so the wanted side need not be materialized
+        # side, so the wanted side need not be materialized; only when
+        # neither is does _survivors compare both sides' vertex counts
         if sel_i != sel_j and sel_i != want_pos:
             return None
-        p, n = split_by_hyperplane(s, h)
+        both = not (sel_i or sel_j)
+        p, n = split_by_hyperplane(t, h, (want_pos or both,
+                                          not want_pos or both), cls)
         _count_split(stats)
-        s = p if want_pos else n
+        t, cuts = p if want_pos else n, {}  # the new piece's own cuts
         if not _survivors(p, n, sel_i, sel_j)[not want_pos] or \
-                _pruned_empty(s) or _expired(stats):
+                _pruned_empty(t) or _expired(stats):
             return None
-    return s
+    return t
 
 
 def _pool_domains(s, pool, selection, stats):
     """All nonempty (piece, winner) linearity domains of one pool over ``s``."""
-    doms = []
+    doms, cuts = [], {}
     for k in range(len(pool.dims)):
-        piece = _domain_chain(s, pool, k, selection, stats)
+        piece = _domain_chain(s, pool, k, selection, stats, cuts)
         if piece is not None:
             doms.append((piece, k))
     if not doms and selection is not None:
@@ -210,7 +220,7 @@ def _pool_domains(s, pool, selection, stats):
         # the centroid's winning coordinate so the pool never returns empty
         centroid = s.vertices.mean(axis=0)
         k = int(np.argmax(centroid[list(pool.dims)]))
-        piece = _domain_chain(s, pool, k, None, stats)
+        piece = _domain_chain(s, pool, k, None, stats, cuts)
         if piece is not None:
             doms.append((piece, k))
     return doms
@@ -236,24 +246,44 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     return out
 
 
+_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # of a 4-window
+_LO, _HI = np.array(_PAIRS).T
+
+
+def _winner_table():
+    """The settled winner of each pattern of pair outcomes, where bit p of
+    the pattern is set when pair p's upper coordinate wins it: the window
+    coordinate that wins all three of its pairs, -2 if there is none.
+    Plain Python: numpy reductions at import would add to the memory of
+    every process, also of those that never meet a maxpool layer."""
+    table = []
+    for code in range(64):
+        wins = [0, 0, 0, 0]
+        for p, (i, j) in enumerate(_PAIRS):
+            wins[j if code >> p & 1 else i] += 1
+        table.append(wins.index(3) if 3 in wins else -2)
+    return np.array(table)
+
+
+_WINNER = _winner_table()
+
+
 def _settled_winners(v, idx):
     """Each pool's winner on a set with vertex rows ``v``, in one array pass.
 
     A pool whose comparisons the set does not cross is settled with the
     ``sides`` zero band that ``classify_vertices`` uses (a pair's lower
     coordinate wins unless a vertex is negative): its winner's window
-    index, or -2 if no coordinate wins all its pairs.  A crossed pool gets -1, and so does every pool of a
-    non-finite set, where ``v_i - v_j`` need not equal the classify value.
+    index, or -2 if no coordinate wins all its pairs.  A crossed pool gets
+    -1, and so does every pool of a non-finite set, where ``v_i - v_j``
+    need not equal the classify value.
     """
     if not np.isfinite(v).all():
         return np.full(len(idx), -1)
-    i, j = np.triu_indices(4, 1)  # every pair; their order is moot here
-    d = v[:, idx[:, i]] - v[:, idx[:, j]]
+    d = v[:, idx[:, _LO]] - v[:, idx[:, _HI]]
     has_pos, has_neg = (m.any(axis=0) for m in sides(d, np.abs(d)))
-    pair_winner = np.where(has_neg, j, i)
-    full = (pair_winner[:, :, None] == np.arange(4)).sum(axis=1) == 3
-    settled = np.where(full.any(axis=1), full.argmax(axis=1), -2)
-    return np.where((has_pos & has_neg).any(axis=1), -1, settled)
+    return np.where((has_pos & has_neg).any(axis=1), -1,
+                    _WINNER[has_neg @ (1 << np.arange(6))])
 
 
 def maxpool_layer_reach(inputs, layer,

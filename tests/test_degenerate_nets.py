@@ -7,7 +7,8 @@ duplicate neurons, zero rows, and hyperplanes (ReLU planes and maxpool
 comparisons) through the image of a box corner, which put vertices exactly
 on the zero band.  A region emitted twice, a dropped region, or two
 overlapping regions break the volume sum or the one-region-per-centroid
-rule.
+rule.  The same nets with one affine layer scaled by up to 1e300 check that
+an exact SAFE stays sound when the arithmetic is near its range.
 """
 
 import itertools
@@ -16,8 +17,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from latreach import (InputSpec, LayerDesc, Network, PoolSpec, ReachConfig,
-                      reach)
+from latreach import (ZERO_TOL, InputSpec, LayerDesc, Network, PoolSpec,
+                      ReachConfig, forward, reach, verify)
 from latreach.model import _apply_layer, _lower_conv
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -141,3 +142,41 @@ def test_exact_regions_tile_the_box_on_degenerate_nets(case):
     hits = sum((eq[:, :-1] @ centroids.T + eq[:, -1:] <= 1e-9).all(axis=0)
                for _, eq in cells)
     assert (hits == 1).all(), hits
+
+
+@st.composite
+def huge_weight_nets(draw):
+    """A planted net whose affine layer ``i`` is scaled by up to 1e300."""
+    net, spec = draw(degenerate_nets())
+    layers = list(net.layers)
+    i = draw(st.sampled_from([i for i, layer in enumerate(layers)
+                              if layer.kind == "affine"]))
+    scale = 10.0 ** draw(st.integers(0, 300))
+    a = layers[i]
+    layers[i] = LayerDesc("affine", a.width_in, a.width_out, a.W * scale,
+                          a.b * scale)
+    return Network(tuple(layers), net.input_width, net.labels), spec
+
+
+@PROPERTY
+@given(huge_weight_nets())
+def test_exact_safe_holds_on_huge_weight_nets(case):
+    # an exact SAFE needs finite output and region vertices, and no region
+    # vertex may take a class other than the baseline's in a forward pass
+    # (by more than the zero band: a tie on the boundary is allowed)
+    net, spec = case
+    cfg = ReachConfig()
+    with np.errstate(all="ignore"):
+        res = reach(net, spec, cfg)
+        verdict = verify(net, spec, cfg, res)
+        if verdict.status != "SAFE":
+            return
+        assert all(np.isfinite(s.vertices).all()
+                   and np.isfinite(s.region_vertices).all()
+                   for s in res.sets)
+        c = verdict.info["class"]
+        for s in res.sets:
+            for x in s.region_vertices:
+                y = forward(net, x)
+                band = ZERO_TOL * np.maximum(1.0, abs(y[c]) + np.abs(y))
+                assert (y[c] - y >= -band).all(), (x, y, c)

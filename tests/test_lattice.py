@@ -357,6 +357,27 @@ def test_lattice_values_must_fit_int32():
         assert not x.flags.writeable, name
 
 
+def test_split_ids_must_fit_int32():
+    # cutting the square adds 3 faces (2 vertices and the section edge),
+    # numbered from next_id: one short of room raises on every side
+    # request, and with room the last new id is the int32 maximum
+    s = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
+    lat, h = s.lattice, Hyperplane([1.0, 0.0], 0.0)
+
+    def at(next_id):
+        near = FaceLattice(lat.ids, lat.dims, lat.child_ptr, lat.child_idx,
+                           next_id)
+        return LatticeSet(near, s.vertices, s.region_vertices)
+
+    for keep in ((True, True), (True, False), (False, True)):
+        with pytest.raises(LatticeError, match="int32"):
+            split_by_hyperplane(at(2 ** 31 - 3), h, keep)
+    pos, neg = split_by_hyperplane(at(2 ** 31 - 4), h)
+    for side in (pos, neg):
+        assert side.lattice.next_id == 2 ** 31 - 1
+        assert side.lattice.ids.max() == 2 ** 31 - 2
+
+
 def test_split_set_pickles_unchanged():
     # worker processes send sets back pickled
     s = build_box_lattice([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])

@@ -5,14 +5,18 @@ cut a few times; the final cut is a random plane, a plane through existing
 vertices, or a plane parallel to a box facet or to an earlier cut.  Every
 side that comes back must be a valid set on its closed half-space, and each
 new vertex must sit on an edge of the input with its vertex row and its
-region row interpolated by the same parameter.
+region row interpolated by the same parameter.  Asking for one side, or
+handing the split the caller's classification, changes no bit of a side.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latreach import (ZERO_TOL, Hyperplane, affine_transform,
-                      build_box_lattice, split_by_hyperplane, validate_set)
+                      build_box_lattice, classify_vertices, lattice,
+                      split_by_hyperplane, validate_set)
 from conftest import hull_face_counts_3d
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -151,6 +155,49 @@ def test_split_face_counts_match_hull_3d(case):
         if gaps[np.triu_indices(len(V), 1)].min() < 1e-6:
             continue  # near-coincident vertices: qhull merges them
         assert side.lattice.counts_by_dim() == hull_face_counts_3d(V)
+
+
+def _assert_bitwise_equal(got, want):
+    if want is None:
+        assert got is None
+        return
+    for name in ("ids", "dims", "child_ptr", "child_idx"):
+        x, y = getattr(got.lattice, name), getattr(want.lattice, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert got.lattice.next_id == want.lattice.next_id
+    for name in ("vertices", "region_vertices"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@PROPERTY
+@given(split_cases())
+def test_one_sided_split_is_that_side_bit_for_bit(case):
+    # asking for one side builds it exactly as the two-sided split does
+    # and returns None for the other
+    s, _, _, h = case
+    both = split_by_hyperplane(s, h)
+    for keep in ((True, False), (False, True)):
+        got = split_by_hyperplane(s, h, keep)
+        for side, want, kept in zip(got, both, keep):
+            _assert_bitwise_equal(side, want if kept else None)
+    assert split_by_hyperplane(s, h, (False, False)) == (None, None)
+
+
+@PROPERTY
+@given(split_cases())
+def test_split_reuses_the_callers_classification(case):
+    # a split handed the caller's classification classifies nothing itself
+    # and returns what a split that classifies by itself does
+    s, _, _, h = case
+    cls = classify_vertices(s, h)
+    for keep in ((True, True), (True, False), (False, True)):
+        want = split_by_hyperplane(s, h, keep)
+        with mock.patch.object(lattice, "classify_vertices",
+                               side_effect=AssertionError("classified")):
+            got = split_by_hyperplane(s, h, keep, cls)
+        for x, y in zip(got, want):
+            _assert_bitwise_equal(x, y)
 
 
 def test_split_through_vertices_only():
