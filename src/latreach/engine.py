@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .lattice import (LatticeSet, as_int, split_by_hyperplane, set_to_dict,
-                      set_from_dict)
+                      set_from_dict, sets_json)
 from .layers import (NeuronSelection, affine_layer_reach, relu_layer_reach,
                      maxpool_layer_reach, _expired)
 from .model import (Network, InputSpec, ModelError, Gradients, embed_box,
@@ -226,14 +226,18 @@ def result_to_dict(result: ReachResult, mode: str, relaxation: float) -> dict:
 
 
 def write_result(f, result: ReachResult, mode: str, relaxation: float) -> None:
-    """Write ``json.dumps(result_to_dict(...))`` to the text file ``f`` one
-    set record at a time, never holding more than one record's tree."""
+    """Write ``json.dumps(result_to_dict(...))`` to the text file ``f``.
+
+    The set records are formatted straight from the lattice arrays, one
+    chunk of consecutive sets at a time (``lattice.sets_json``), so only
+    one chunk's text is held, never a record tree.
+    """
     head, tail = _pinned_scalars(result, mode, relaxation)
     f.write(json.dumps(head)[:-1] + ', "sets": [')
     sep = ""
-    for s in result.sets:
+    for text in sets_json(result.sets):
         f.write(sep)
-        f.write(json.dumps(set_to_dict(s)))
+        f.write(text)
         sep = ", "
     f.write("], " + json.dumps(tail)[1:])
 

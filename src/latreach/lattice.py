@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -561,23 +563,116 @@ def set_to_dict(s: LatticeSet) -> dict:
             "region": s.region_vertices.tolist()}
 
 
+# a dump chunk closes before the set that would take it past this many
+# values (face ids, child ids and coordinates), and holds at least one set;
+# formatting holds about 100 bytes per value, so a chunk stays near 1 MB
+DUMP_CHUNK_VALUES = 1 << 13
+_TEMPLATE_KIDS = 64  # prebuilt face templates go up to this many children
+
+
+def _face_template(dim: int, n_kids: int) -> str:
+    kids = ", ".join(["%d"] * n_kids)
+    return f'{{"id": %d, "dim": {dim}, "children": [{kids}]}}'
+
+
+@functools.cache
+def _face_templates() -> np.ndarray:
+    """Face templates by (dim, child count), built on the first dump."""
+    return np.array([[_face_template(k, n) for n in range(_TEMPLATE_KIDS + 1)]
+                     for k in range(MAX_BOX_DIM + 1)], dtype=object)
+
+
+def _rows_template(m: np.ndarray) -> str:
+    return ", ".join(["[" + ", ".join(["%s"] * m.shape[1]) + "]"] * len(m))
+
+
+def _chunk_json(sets) -> str:
+    """``", ".join(json.dumps(set_to_dict(s)) for s in sets)``, made by one
+    ``%`` of a template over the ids and coordinates of all ``sets``.
+
+    Each distinct float bit pattern is spelled once, by ``json.dumps``
+    itself, so NaN, +-Infinity and -0.0 come out as it writes them.
+    """
+    lats = [s.lattice for s in sets]
+    n_faces = [lat.n_faces for lat in lats]
+    n_kids = np.concatenate([np.diff(lat.child_ptr) for lat in lats])
+    ids = np.concatenate([lat.ids for lat in lats])
+    dims = np.concatenate([lat.dims for lat in lats])
+    # child positions of the whole chunk, shifted to index ids
+    shift = np.repeat(np.cumsum(n_faces) - n_faces,
+                      [lat.child_idx.size for lat in lats])
+    kids = ids[np.concatenate([lat.child_idx for lat in lats]) + shift]
+
+    faces = _face_templates()[np.minimum(dims, MAX_BOX_DIM),
+                              np.minimum(n_kids, _TEMPLATE_KIDS)]
+    for i in ((dims > MAX_BOX_DIM)
+              | (n_kids > _TEMPLATE_KIDS)).nonzero()[0].tolist():
+        faces[i] = _face_template(dims[i], n_kids[i])
+    faces = faces.tolist()
+    texts, counts, floats = [], [], []
+    end = 0
+    for s, n in zip(sets, n_faces):
+        texts.append('{"faces": [' + ", ".join(faces[end:end + n])
+                     + '], "vertices": [' + _rows_template(s.vertices)
+                     + '], "region": [' + _rows_template(s.region_vertices)
+                     + "]}")
+        end += n
+        counts += (n + s.lattice.child_idx.size,
+                   s.vertices.size + s.region_vertices.size)
+        floats += (s.vertices.ravel(), s.region_vertices.ravel())
+
+    bits, inverse = np.unique(np.concatenate(floats).view(np.int64),
+                              return_inverse=True)
+    spelled = np.array(json.dumps(bits.view(float).tolist())[1:-1]
+                       .split(", "), dtype=object)
+    is_float = np.repeat(np.tile((False, True), len(sets)), counts)
+    values = np.empty(is_float.size, dtype=object)
+    # each face's id, then its child ids
+    values[~is_float] = np.insert(kids, np.cumsum(n_kids) - n_kids, ids)
+    values[is_float] = spelled[inverse]
+    return ", ".join(texts) % tuple(values.tolist())
+
+
+def sets_json(sets):
+    """Yield ``json.dumps(set_to_dict(s))`` of consecutive ``sets``, joined
+    by ", ", one chunk of sets at a time (``DUMP_CHUNK_VALUES``)."""
+    chunk, n = [], 0
+    for s in sets:
+        k = (s.lattice.n_faces + s.lattice.child_idx.size + s.vertices.size
+             + s.region_vertices.size)
+        if chunk and n + k > DUMP_CHUNK_VALUES:
+            yield _chunk_json(chunk)
+            chunk, n = [], 0
+        chunk.append(s)
+        n += k
+    if chunk:
+        yield _chunk_json(chunk)
+
+
 def set_from_dict(d: dict) -> LatticeSet:
     """Rebuild a set from :func:`set_to_dict` output.
 
     Vertex rows are matched to dim-0 face records in listing order.  A
-    duplicate face id, a child id that names no face, and a bool or
-    non-integral id, dim or child id raise LatticeError.
+    duplicate face id, a child id that names no face, a child listed twice
+    by one face, and a bool or non-integral id, dim or child id raise
+    LatticeError.
     """
-    recs = sorted(d["faces"], key=lambda r: r["dim"])  # stable
-    # int64, not int32: FaceLattice range-checks them, a cast could wrap;
-    # as_int first, or the cast would truncate 8.7 to 8
-    ids, dims = (np.array([as_int(r[key], f"face {key}") for r in recs],
-                          dtype=np.int64) for key in ("id", "dim"))
+    recs = sorted(d["faces"], key=operator.itemgetter("dim"))  # stable
+    ids = [r["id"] for r in recs]
+    dims = [r["dim"] for r in recs]
+    n_kids = [len(r["children"]) for r in recs]
+    kids = list(itertools.chain.from_iterable(r["children"] for r in recs))
+    # one type scan; as_int converts 8.0 or raises for 8.7 and true
+    if not set(map(type, itertools.chain(ids, dims, kids))) <= {int}:
+        ids, dims, kids = ([as_int(x, what) for x in values]
+                           for what, values in (("face id", ids),
+                                                ("face dim", dims),
+                                                ("child id", kids)))
+    # int64, not int32: FaceLattice range-checks them, a cast could wrap
+    ids, dims, kid_ids = (np.array(v, dtype=np.int64)
+                          for v in (ids, dims, kids))
     ptr = np.zeros(len(recs) + 1, dtype=np.int32)
-    ptr[1:] = np.cumsum([len(r["children"]) for r in recs])
-    kid_ids = np.fromiter(
-        (as_int(k, "child id") for r in recs for k in r["children"]),
-        dtype=np.int64, count=int(ptr[-1]))
+    ptr[1:] = np.cumsum(n_kids)
     by_id = np.argsort(ids)
     sorted_ids = ids[by_id]
     if np.any(sorted_ids[1:] == sorted_ids[:-1]):
@@ -585,6 +680,9 @@ def set_from_dict(d: dict) -> LatticeSet:
     at = np.minimum(np.searchsorted(sorted_ids, kid_ids), ids.size - 1)
     if np.any(sorted_ids[at] != kid_ids):
         raise LatticeError("child id names no face")
+    pairs = np.sort(np.repeat(np.arange(ids.size), n_kids) * ids.size + at)
+    if np.any(pairs[1:] == pairs[:-1]):
+        raise LatticeError("duplicate child within a face")
     lat = FaceLattice(ids, dims, ptr, by_id[at], int(ids.max(initial=-1)) + 1)
     verts = np.asarray(d["vertices"], dtype=float).reshape(lat.n_vertices, -1)
     regions = np.asarray(d["region"], dtype=float).reshape(lat.n_vertices, -1)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-import latreach.engine
+import latreach.lattice
 from latreach import (InputSpec, LatticeSet, LayerDesc, ModelError, Network,
                       ReachConfig, ReachResult, build_box_lattice, reach,
                       verify)
 from latreach.cli import (main, _hull2d, load_input_vector, _parse_constraint,
                           _read_sets, _write_result)
 from latreach.engine import iter_set_records, result_to_dict
+from latreach.lattice import DUMP_CHUNK_VALUES, FaceLattice, sets_json
 from conftest import random_toy_net
 
 
@@ -311,7 +312,8 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
     ("unknown_child", "child id names no face"),
     ("duplicate_id", "duplicate face id"),
     ("id_past_int32", "does not fit int32"),
-    ("fractional_id", "face id must be an integer")])
+    ("fractional_id", "face id must be an integer"),
+    ("duplicate_child", "duplicate child within a face")])
 def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])
@@ -326,6 +328,8 @@ def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
         faces[-1]["id"] = 2 ** 31  # the top face: no child list names it
     elif corrupt == "fractional_id":
         faces[-1]["id"] += 0.7
+    elif corrupt == "duplicate_child":
+        faces[-1]["children"].append(faces[-1]["children"][0])
     else:
         faces[1]["id"] = faces[0]["id"]
     out.write_text(json.dumps(doc))
@@ -347,17 +351,72 @@ def fixed_result(sets, truncated=False):
     return ReachResult(list(sets), len(sets), 0.125, 1, truncated)
 
 
-@pytest.mark.parametrize("case", ["truncated", "one_set", "exact_run"])
-def test_streamed_dump_is_the_whole_document(tmp_path, case):
+def polygon(n):
+    """The regular n-gon: its 2-face lists all n edges as children."""
+    kids = [[]] * n + [[i, (i + 1) % n] for i in range(n)] + [
+        list(range(n, 2 * n))]
+    lat = FaceLattice(np.arange(2 * n + 1), [0] * n + [1] * n + [2],
+                      np.cumsum([0] + [len(k) for k in kids]),
+                      list(itertools.chain(*kids)), 2 * n + 1)
+    t = 2 * np.pi * np.arange(n) / n
+    v = np.column_stack((np.cos(t), np.sin(t)))
+    return LatticeSet(lat, v, v)
+
+
+def dump_values(s):
+    """The face ids, child ids and coordinates ``s`` adds to a dump chunk."""
+    return (s.lattice.n_faces + s.lattice.child_idx.size + s.vertices.size
+            + s.region_vertices.size)
+
+
+def dump_case(case):
+    """``(result, cfg)`` of one case of the streamed-dump differential test."""
+    exact = ReachConfig()
+    if case == "overflow":
+        # the net of test_verify_overflow_is_never_safe at 1e200
+        s = 1e200
+        net = Network((
+            LayerDesc("affine", 2, 3, s * np.array([[1, 0], [0, 1], [1, -1]]),
+                      np.zeros(3)),
+            LayerDesc("relu", 3, 3),
+            LayerDesc("affine", 3, 2, np.array([[s, s, 1], [1, -s, s]]),
+                      np.array([1.0, 0.0]))), 2, ("a", "b"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sets = reach(net, InputSpec(np.zeros(2), (0, 1), 1.0), exact).sets
+        v = np.concatenate([s.vertices for s in sets])
+        assert np.isposinf(v).any() and np.isneginf(v).any()
+        return fixed_result(sets), exact
+    if case == "signed_zero_and_nan":
+        box = build_box_lattice([-0.0, -1.0], [0.0, 1.0])
+        odd = np.array([[-0.0, np.nan], [0.0, -np.nan], [np.inf, -0.0],
+                        [-np.inf, 5e-324]])
+        return fixed_result([box, LatticeSet(box.lattice, odd, odd)]), exact
+    if case == "wide_face":
+        return fixed_result([polygon(70), polygon(3)]), exact
+
     net, spec = random_toy_net(22)
-    sets = reach(net, spec, ReachConfig()).sets
+    sets = reach(net, spec, exact).sets
     assert len(sets) == 65
-    res, cfg = {
-        "truncated": (fixed_result([], True), ReachConfig()),
-        "one_set": (fixed_result(sets[:1]),
-                    ReachConfig(mode="fast", relaxation=0.3)),
-        "exact_run": (fixed_result(sets), ReachConfig()),
-    }[case]
+    if case == "truncated":
+        return fixed_result([], True), exact
+    if case == "one_set":
+        return fixed_result(sets[:1]), ReachConfig(mode="fast",
+                                                   relaxation=0.3)
+    if case == "exact_run":
+        return fixed_result(sets), exact
+    # the first chunk closes after the first `full` sets
+    full = int(np.searchsorted(
+        np.cumsum([dump_values(s) for s in sets]), DUMP_CHUNK_VALUES, "right"))
+    n = full + {"chunk_below": -1, "chunk_at": 0, "chunk_above": 1}[case]
+    assert len(list(sets_json(sets[:n]))) == (2 if n > full else 1)
+    return fixed_result(sets[:n]), exact
+
+
+@pytest.mark.parametrize("case", [
+    "truncated", "one_set", "exact_run", "chunk_below", "chunk_at",
+    "chunk_above", "overflow", "signed_zero_and_nan", "wide_face"])
+def test_streamed_dump_is_the_whole_document(tmp_path, case):
+    res, cfg = dump_case(case)
     out = tmp_path / "R.json"
     _write_result(out, res, cfg)
     assert out.read_text() == json.dumps(
@@ -373,15 +432,15 @@ def test_failed_dump_leaves_out_untouched(tmp_path, monkeypatch, before):
     if before is not None:
         out.write_text(before)
     calls = []
-    to_dict = latreach.engine.set_to_dict
+    chunk_json = latreach.lattice._chunk_json
 
-    def second_call_fails(s):
-        calls.append(s)
+    def second_chunk_fails(sets):
+        calls.append(sets)
         if len(calls) == 2:
             raise RuntimeError("disk full")
-        return to_dict(s)
+        return chunk_json(sets)
 
-    monkeypatch.setattr(latreach.engine, "set_to_dict", second_call_fails)
+    monkeypatch.setattr(latreach.lattice, "_chunk_json", second_chunk_fails)
     with pytest.raises(RuntimeError, match="disk full"):
         _write_result(out, res, ReachConfig())
     assert len(calls) == 2
