@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,8 +24,8 @@ import numpy as np
 from .lattice import as_int, coord_hyperplane, sides
 from .model import (Network, InputSpec, ModelError, load_model, forward,
                     gradient)
-from .engine import (ReachConfig, reach, backtrack, write_result,
-                     iter_set_records, sets_from_dict)
+from .engine import (DEFAULT_MAX_SETS, ReachConfig, reach, backtrack,
+                     write_result, iter_set_records, sets_from_dict)
 from .engine import result_to_dict  # noqa: F401  (perfbench/tracer.py wraps it)
 
 EXIT_CODES = {"SAFE": 0, "UNSAFE": 1, "UNKNOWN": 2, "TIMEOUT": 3}
@@ -354,17 +352,15 @@ def _add_reach_args(sub):
     sub.add_argument("--relaxation", type=float, default=1.0)
     sub.add_argument("--partitions", type=int, default=1)
     sub.add_argument("--timeout", type=float, default=None)
-    sub.add_argument("--max-sets", type=int, default=None)
+    sub.add_argument("--max-sets", type=int, default=DEFAULT_MAX_SETS)
     sub.add_argument("--workers", type=int, default=1)
 
 
 def _config_from_args(args) -> ReachConfig:
-    kw = dict(mode="fast" if args.fast else "exact",
-              relaxation=args.relaxation, partitions=args.partitions,
-              timeout=args.timeout, workers=args.workers)
-    if args.max_sets is not None:
-        kw["max_sets"] = args.max_sets
-    return ReachConfig(**kw)
+    return ReachConfig(mode="fast" if args.fast else "exact",
+                       relaxation=args.relaxation, partitions=args.partitions,
+                       timeout=args.timeout, max_sets=args.max_sets,
+                       workers=args.workers)
 
 
 def _spec_from_args(args) -> InputSpec:
@@ -424,26 +420,13 @@ def main(argv=None) -> int:
         return 4
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic GC: a dump or reload builds about a million small
-    containers without cycles, which the collector would keep rescanning."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _write_result(path, res, cfg: ReachConfig) -> None:
     """Dump ``res`` to a sibling temp file, then move it onto ``path``: a
     failed dump leaves whatever was at ``path`` before."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with _gc_paused(), open(tmp, "w") as f:
+        with open(tmp, "w") as f:
             write_result(f, res, cfg.mode, cfg.relaxation)
         os.replace(tmp, path)
     except BaseException as e:
@@ -458,10 +441,9 @@ def _read_sets(path, set_id: int | None = None) -> list:
     record at a time; the whole file is parsed either way."""
     sets = []
     n = 0
-    with _gc_paused():
-        for n, rec in enumerate(iter_set_records(path), 1):
-            if set_id is None or n - 1 == set_id:
-                sets += sets_from_dict({"sets": [rec]})
+    for n, rec in enumerate(iter_set_records(path), 1):
+        if set_id is None or n - 1 == set_id:
+            sets += sets_from_dict({"sets": [rec]})
     if set_id is not None and not 0 <= set_id < n:
         raise ModelError(f"set id {set_id} out of range ({n} sets)")
     return sets

@@ -17,7 +17,10 @@ Conventions used throughout:
   one-to-one row correspondence because splits interpolate both with the
   same parameter;
 * a vertex counts as lying on a hyperplane when ``|a.v + b|`` is within
-  ``ZERO_TOL * max(1, |a.v| + |b|)``;
+  ``ZERO_TOL * max(1, |a.v| + |b|)``, where ``a.v`` sums only the terms
+  whose normal entry is nonzero: a non-finite coordinate outside a cut
+  does not change its labels, and a coordinate cut reads ``v_i - v_j``
+  (or ``v_i``) exactly;
 * a set lying entirely on a hyperplane goes to the positive side.
 """
 
@@ -153,7 +156,7 @@ class FaceLattice:
     @classmethod
     def _of_buffer(cls, buf, n_faces, next_id):
         """A lattice over an int32 ``buf`` already laid out as below, with
-        no value scan (the split builds one)."""
+        no value scan (the split builds one, and a pickle holds one)."""
         lat = object.__new__(cls)
         lat._adopt(buf, n_faces, next_id)
         return lat
@@ -187,12 +190,8 @@ class FaceLattice:
         ks, cs = np.unique(self.dims, return_counts=True)
         return {int(k): int(c) for k, c in zip(ks, cs)}
 
-    def __getstate__(self):
-        return (self.ids, self.dims, self.child_ptr, self.child_idx,
-                self.next_id)
-
-    def __setstate__(self, state):
-        self.__init__(*state)
+    def __reduce__(self):
+        return FaceLattice._of_buffer, (self._buf, self.n_faces, self.next_id)
 
     def __repr__(self):
         return (f"FaceLattice(n_faces={self.n_faces}, "
@@ -313,11 +312,15 @@ def classify_vertices(s: LatticeSet, h: Hyperplane) -> VertexClassification:
     """Label each vertex positive / negative / zero relative to ``h``.
 
     The zero band is relative: vertex ``v`` is on the hyperplane when
-    ``|a.v + b| <= ZERO_TOL * max(1, |a.v| + |b|)``.
+    ``|a.v + b| <= ZERO_TOL * max(1, |a.v| + |b|)``.  ``a.v`` sums only the
+    terms where ``a`` is nonzero, so a non-finite coordinate outside the
+    cut does not change the labels (``inf * 0`` would be nan).  A strictly
+    signed value exceeds its band, so it is finite.
     """
     if h.normal.size != s.ambient_dim:
         raise LatticeError("hyperplane dimension does not match set")
-    av = s.vertices @ h.normal
+    nz = h.normal.nonzero()[0]
+    av = s.vertices[:, nz] @ h.normal[nz]
     vals = av + h.offset
     pos, neg = sides(vals, np.abs(av) + abs(h.offset))
     return VertexClassification(pos.astype(np.int8) - neg, bool(pos.any()),
@@ -386,29 +389,25 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane, keep=(True, True),
         first[1:] = owner[hit[1:]] != owner[hit[:-1]]
         section[owner[hit[first]]] = idx[hit[first]]
 
-    # crossing edges: interpolate all at once; an edge whose parameter is
-    # not finite (interpolation underflow) is treated as non-intersecting
-    lo, hi = start[1], start[2]
-    edges = lo + (cut[lo:hi] & (section[lo:hi] < 0)).nonzero()[0]
-    v0, v1 = idx[ptr[edges]], idx[ptr[edges] + 1]
-    v0_pos = labels[v0] > 0
-    p, n = np.where(v0_pos, v0, v1), np.where(v0_pos, v1, v0)
-    t = -vals[n] / (vals[p] - vals[n])
-    finite = np.isfinite(t)
-    cut[edges[~finite]] = False
-    p, n = p[finite], n[finite]
-    t = np.minimum(np.maximum(t[finite], 0.0), 1.0)[:, None]
-    vn, rn = s.vertices[n], s.region_vertices[n]
-    new_verts = vn + t * (s.vertices[p] - vn)
-    new_regions = rn + t * (s.region_vertices[p] - rn)
-
-    # cut is final now: number the new section faces in position order, so
-    # the new vertices (sections of edges) come first
+    # number the new section faces in position order, so the new vertices
+    # (sections of the crossing edges) come first
     from_src = cut & (section < 0)
     src = from_src.nonzero()[0]
     n_new = src.size
     new = nf + np.arange(n_new)
     section[src] = new
+
+    # crossing edges: interpolate all at once; both end values are
+    # strictly signed, hence finite, so every parameter is finite and, as
+    # |vals[n]| <= vals[p] - vals[n] also after rounding, within [0, 1]
+    edges = src[:src.searchsorted(start[2])]
+    v0, v1 = idx[ptr[edges]], idx[ptr[edges] + 1]
+    v0_pos = labels[v0] > 0
+    p, n = np.where(v0_pos, v0, v1), np.where(v0_pos, v1, v0)
+    t = (-vals[n] / (vals[p] - vals[n]))[:, None]
+    vn, rn = s.vertices[n], s.region_vertices[n]
+    new_verts = vn + t * (s.vertices[p] - vn)
+    new_regions = rn + t * (s.region_vertices[p] - rn)
 
     # children of a new face of dimension >= 1 (coded by its source's
     # section): the sections of its source's cut children, then its

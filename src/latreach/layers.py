@@ -155,12 +155,11 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
         sel_k = selection is None or bool(selection.selected[k])
         keep_pos, keep_neg = _survivors(pos_s, neg_s, sel_k, sel_k)
         # the next sign pass zeroes k on the negative child and drops it on
-        # the positive one; a split that returns the set whole (a row with a
-        # non-finite entry classifies as 0) drops k, or it would repeat.
-        # Pushed in reverse so the positive child's subtree comes out first.
+        # the positive one.  Pushed in reverse so the positive child's
+        # subtree comes out first.
         for c, kept in ((neg_s, keep_neg), (pos_s, keep_pos)):
             if kept and c is not None:
-                work.append((c, news[1:] if c is s else news))
+                work.append((c, news))
     return out
 
 
@@ -271,15 +270,12 @@ _WINNER = _winner_table()
 def _settled_winners(v, idx):
     """Each pool's winner on a set with vertex rows ``v``, in one array pass.
 
-    A pool whose comparisons the set does not cross is settled with the
-    ``sides`` zero band that ``classify_vertices`` uses (a pair's lower
-    coordinate wins unless a vertex is negative): its winner's window
-    index, or -2 if no coordinate wins all its pairs.  A crossed pool gets
-    -1, and so does every pool of a non-finite set, where ``v_i - v_j``
-    need not equal the classify value.
+    A pool whose comparisons the set does not cross is settled on the
+    values ``v_i - v_j`` and the ``sides`` zero band that
+    ``classify_vertices`` uses (a pair's lower coordinate wins unless a
+    vertex is negative): its winner's window index, or -2 if no coordinate
+    wins all its pairs.  A crossed pool gets -1.
     """
-    if not np.isfinite(v).all():
-        return np.full(len(idx), -1)
     d = v[:, idx[:, _LO]] - v[:, idx[:, _HI]]
     has_pos, has_neg = (m.any(axis=0) for m in sides(d, np.abs(d)))
     return np.where((has_pos & has_neg).any(axis=1), -1,

@@ -10,6 +10,7 @@ from latreach import (LatticeError, LatticeSet, Hyperplane, PoolSpec, NeuronSele
                       validate_set, relu_layer_reach, maxpool_pool_reach,
                       maxpool_layer_reach, affine_layer_reach)
 from latreach import layers
+from latreach.lattice import sides
 from latreach.layers import _domain_chain
 from conftest import dedup_vertex_set, in_union, maxpool_layer
 
@@ -100,9 +101,9 @@ def test_relu_many_parallel_crossings_do_not_recurse():
 
 
 def test_relu_non_finite_row_ends():
-    # rows (inf, 0.5) and (1, -0.5): the inf row classifies as 0 on x1
-    # (inf * 0 is nan) while its own x1 is positive, so the split on x1
-    # keeps the set whole; the worklist must drop x1 then, not split again
+    # rows (inf, 0.5) and (1, -0.5): the cut on x1 reads x1 alone, so the
+    # inf in x0 does not hide the crossing; one split, two pieces, and the
+    # negative piece is rectified
     seg = build_box_lattice([0.0], [1.0])
     s = affine_transform(seg, np.array([[1.0], [-1.0]]), np.array([0.0, 0.5]))
     v = s.vertices.copy()
@@ -112,7 +113,30 @@ def test_relu_non_finite_row_ends():
     with np.errstate(invalid="ignore"):
         outs = relu_layer_reach([s], stats=stats)
     assert "expired" not in stats and stats["splits"] == 1
-    assert len(outs) == 1
+    assert len(outs) == 2
+    for o in outs:
+        x1 = o.vertices[:, 1]
+        assert not sides(x1, np.abs(x1))[1].any()
+
+
+def test_maxpool_non_finite_row_wins_by_its_own_coordinates():
+    # x0 = t, x1 = 1 - t, x2 = 0, x3 = 2t with x3 = inf at t = 1: the pool
+    # (0, 1) is crossed at t = 0.5 whatever x3 holds, so output 0 is
+    # max(x0, x1) at every vertex
+    seg = build_box_lattice([0.0], [1.0])
+    s = affine_transform(seg, np.array([[1.0], [-1.0], [0.0], [2.0]]),
+                         np.array([0.0, 1.0, 0.0, 0.0]))
+    v = s.vertices.copy()
+    v[s.region_vertices[:, 0] == 1.0, 3] = np.inf
+    s = LatticeSet(s.lattice, v, s.region_vertices)
+    layer = maxpool_layer([PoolSpec((0, 1), 0), PoolSpec((2, 3), 1)])
+    with np.errstate(invalid="ignore"):
+        outs = maxpool_layer_reach([s], layer)
+    assert len(outs) == 2
+    for o in outs:
+        t = o.region_vertices[:, 0]
+        np.testing.assert_allclose(o.vertices[:, 0], np.maximum(t, 1 - t),
+                                   rtol=0, atol=1e-12)
 
 
 def test_layers_stop_once_stats_expire(monkeypatch):

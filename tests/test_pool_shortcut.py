@@ -169,10 +169,10 @@ def test_tolerance_cycle_kills_the_set():
     assert stats.get("splits", 0) == 0
 
 
-def test_non_finite_set_takes_the_domain_chain():
+def test_non_finite_set_settles_in_the_array_pass():
     # x0 - x1 = -x is zero at x = 0 and negative at x = 1, where x3 is
-    # infinite: classify's dot product turns that vertex's value into nan
-    # (a zero label, so x0 wins the tie) where v0 - v1 would read -1
+    # infinite: classify reads only x0 and x1, so that vertex's value is -1
+    # there as in the array pass, and both settle the same winners
     seg = build_box_lattice([0.0], [1.0])
     s = affine_transform(seg, np.array([[0.0], [1.0], [1.0], [2.0]]),
                          np.zeros(4))

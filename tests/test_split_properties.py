@@ -14,9 +14,10 @@ from unittest import mock
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from latreach import (ZERO_TOL, Hyperplane, affine_transform,
+from latreach import (ZERO_TOL, Hyperplane, LatticeSet, affine_transform,
                       build_box_lattice, classify_vertices, lattice,
                       split_by_hyperplane, validate_set)
+from latreach.lattice import coord_hyperplane, sides
 from conftest import hull_face_counts_3d
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -211,3 +212,56 @@ def test_split_through_vertices_only():
         assert side.lattice.next_id == s.lattice.next_id + 1
     assert set(map(tuple, pos.vertices.tolist())) == {(1, 0), (0, 1), (1, 1)}
     assert set(map(tuple, neg.vertices.tolist())) == {(1, 0), (0, 1), (0, 0)}
+
+
+@st.composite
+def planted_sets(draw):
+    """A split case's set with +-inf, nan and +-1e308 planted in its
+    vertex matrix."""
+    s = draw(split_cases())[0]
+    v = s.vertices.copy()
+    for at, x in draw(st.lists(st.tuples(
+            st.integers(0, v.size - 1),
+            st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308])),
+            min_size=1, max_size=4)):
+        v.flat[at] = x
+    return LatticeSet(s.lattice, v, s.region_vertices)
+
+
+@PROPERTY
+@given(planted_sets(), st.data())
+def test_coordinate_cut_reads_only_its_coordinates(s, data):
+    # a cut on x_i - x_j (or x_i) labels each row by v_i - v_j alone, as
+    # the ReLU sign pass and the settled-pool pass do; a non-finite entry
+    # in another column changes nothing
+    d = s.ambient_dim
+    i = data.draw(st.integers(0, d - 1))
+    j = data.draw(st.sampled_from([None] + [k for k in range(d) if k != i]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        cls = classify_vertices(s, coord_hyperplane(d, i, j))
+        diff = s.vertices[:, i] - (0.0 if j is None else s.vertices[:, j])
+    pos, neg = sides(diff, np.abs(diff))
+    assert np.array_equal(cls.labels, pos.astype(np.int8) - neg)
+
+
+@PROPERTY
+@given(planted_sets(), st.data())
+def test_strictly_signed_values_are_finite(s, data):
+    # a strictly signed value clears its zero band, so it is finite, and
+    # a split interpolates every crossing edge with a finite parameter:
+    # the region rows, finite here, stay finite on both sides
+    d = s.ambient_dim
+    entries = st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308]) | \
+        st.floats(-1, 1)
+    a = np.array(data.draw(st.lists(entries, min_size=d, max_size=d)))
+    if not a.any():
+        a[0] = 1.0
+    h = Hyperplane(a, data.draw(entries))
+    with np.errstate(invalid="ignore", over="ignore"):
+        cls = classify_vertices(s, h)
+        pos, neg = split_by_hyperplane(s, h, cls=cls)
+    assert np.isfinite(cls.values[cls.labels != 0]).all()
+    assert (pos is not None) == (cls.has_pos or not cls.has_neg)
+    assert (neg is not None) == cls.has_neg
+    for side in (pos, neg):
+        assert side is None or np.isfinite(side.region_vertices).all()
