@@ -6,11 +6,11 @@ input box can be partitioned (repeated bisection of the widest perturbed
 coordinate) and partitions run independently, in-process or on a process
 pool; ``workers`` chooses only where they run, never the result.  A
 partition stops once its deadline passes or more than ``max_sets`` of its
-sets are alive (``layers._expired``, checked at every worklist pop, after
-every maxpool split and after every layer); the run checks the total set
-count after each partition.  Completed partitions are kept in order, the
-first truncated partition ends the run, partitions not yet started are
-cancelled, and the result is flagged truncated.
+sets are alive (``layers._expired``, checked at every pop of the one walker
+that runs ReLU and maxpool, after every maxpool split and after every
+layer); the run checks its set count after each partition.  Completed
+partitions are kept in order, the first truncated one ends the run, those
+not yet started are cancelled, and the result is flagged truncated.
 """
 
 from __future__ import annotations

@@ -183,13 +183,6 @@ class FaceLattice:
         lo, hi = self.dims.searchsorted((k, k + 1))
         return int(lo), int(hi)
 
-    def children_of(self, pos: int) -> np.ndarray:
-        return self.child_idx[self.child_ptr[pos]:self.child_ptr[pos + 1]]
-
-    def counts_by_dim(self) -> dict:
-        ks, cs = np.unique(self.dims, return_counts=True)
-        return {int(k): int(c) for k, c in zip(ks, cs)}
-
     def __reduce__(self):
         return FaceLattice._of_buffer, (self._buf, self.n_faces, self.next_id)
 

@@ -1,13 +1,14 @@
 """Layer-level set propagation: affine, ReLU, and maxpool layers.
 
 Each function maps a list of LatticeSets to the list of their images under
-one layer.  ReLU walks a worklist that only branches on neurons whose
-hyperplane actually crosses a set.  Maxpool settles, in one array pass per
-set, every pool whose comparison hyperplanes the set does not cross; only
-crossed pools enumerate the linearity domains where one pool coordinate
-dominates the others.  In fast mode a NeuronSelection marks the neurons
-treated exactly; splits on the rest keep a single child, so fast outputs
-are always faces of exact outputs rather than new geometry.
+one layer.  ReLU and maxpool are each one step on one set, run depth first
+by one walker (``_walk``) that checks the budget at every pop.  A ReLU step
+only branches on a neuron whose hyperplane crosses the set.  A maxpool step
+settles, in one array pass, every pool whose comparison hyperplanes the set
+does not cross; only crossed pools enumerate the linearity domains where
+one pool coordinate dominates the others.  In fast mode a NeuronSelection
+marks the neurons treated exactly; splits on the rest keep a single child,
+so fast outputs are always faces of exact outputs rather than new geometry.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeError, LatticeSet, as_int, coord_hyperplane,
-                      sides, classify_vertices, eliminate_dims,
-                      affine_transform, split_by_hyperplane)
+from .lattice import (LatticeError, LatticeSet, VertexClassification, as_int,
+                      coord_hyperplane, sides, classify_vertices,
+                      eliminate_dims, affine_transform, split_by_hyperplane)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,20 @@ def _pruned_empty(s: LatticeSet | None) -> bool:
     return not wide.any()
 
 
+def _walk(items, step, stats):
+    """Depth first over ``items`` in input order, on one stack: ``step(*item)``
+    returns a finished set (or None) and the items that set opens, which run
+    next in the order given.  Stops at the first pop where ``_expired`` fires
+    on the sets alive (finished plus waiting); returns those finished."""
+    out, work = [], items[::-1]
+    while work and not _expired(stats, len(out) + len(work)):
+        done, opened = step(*work.pop())
+        if done is not None:
+            out.append(done)
+        work += opened[::-1]
+    return out
+
+
 def affine_layer_reach(inputs, W, b):
     """Apply ``x -> Wx + b`` to every set; no combinatorial work."""
     return [affine_transform(s, W, b) for s in inputs]
@@ -119,48 +134,43 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
                      stats: dict | None = None):
     """Propagate sets through an elementwise ReLU layer.
 
-    Per set, the neurons whose coordinate changes sign over the set are
-    split on depth first (ascending index, positive child first);
-    coordinates that never go positive are projected to zero in one batch.
-    With a ``selection``, splits on unselected neurons keep one child
-    (``_survivors``).  Stops at the first pop where ``_expired`` fires
-    (finished plus waiting sets alive) and returns the sets finished so far.
+    One ``_walk`` step per (set, candidate neurons) item: its sign pass
+    projects the coordinates that never go positive to zero in one batch,
+    and its labels split the set on the lowest crossing neuron (no second
+    classify).  The children, positive first, carry the other crossing
+    neurons on.  With a ``selection``, splits on unselected neurons keep
+    one child (``_survivors``).  Budget as in ``_walk``.
     """
     _check_selection(selection, inputs)
-    out = []
-    # one explicit stack, popped in input order (a set can cross thousands
-    # of neuron hyperplanes); every pop checks the budget
-    work = [(s, np.arange(s.ambient_dim)) for s in reversed(inputs)]
-    while work and not _expired(stats, len(out) + len(work)):
-        s, candidates = work.pop()
+
+    def step(s, candidates):
         sub = s.vertices[:, candidates]
-        goes_pos, goes_neg = (m.any(axis=0) for m in sides(sub, np.abs(sub)))
+        pos, neg = sides(sub, np.abs(sub))
+        goes_pos, goes_neg = pos.any(axis=0), neg.any(axis=0)
         news = candidates[goes_pos & goes_neg]
         negs = candidates[~goes_pos]
-
         if negs.size:
             v = s.vertices.copy()
             v[:, negs] = 0.0
             s = LatticeSet(s.lattice, v, s.region_vertices)
         if news.size == 0:
-            out.append(s)
-            continue
+            return s, ()
 
         k = int(news[0])
-        h = coord_hyperplane(s.ambient_dim, k)
-        pos_s, neg_s = split_by_hyperplane(s, h)
+        j = int((goes_pos & goes_neg).argmax())  # k's column in the pass
+        pos_s, neg_s = split_by_hyperplane(
+            s, coord_hyperplane(s.ambient_dim, k), cls=VertexClassification(
+                pos[:, j].astype(np.int8) - neg[:, j], True, True, sub[:, j]))
         _count_split(stats)
         pos_s, neg_s = (None if _pruned_empty(c) else c for c in (pos_s, neg_s))
-
         sel_k = selection is None or bool(selection.selected[k])
-        keep_pos, keep_neg = _survivors(pos_s, neg_s, sel_k, sel_k)
         # the next sign pass zeroes k on the negative child and drops it on
-        # the positive one.  Pushed in reverse so the positive child's
-        # subtree comes out first.
-        for c, kept in ((neg_s, keep_neg), (pos_s, keep_pos)):
-            if kept and c is not None:
-                work.append((c, news))
-    return out
+        # the positive one
+        return None, [(c, news) for c, kept in zip(
+            (pos_s, neg_s), _survivors(pos_s, neg_s, sel_k, sel_k))
+            if kept and c is not None]
+
+    return _walk([(s, np.arange(s.ambient_dim)) for s in inputs], step, stats)
 
 
 def _domain_chain(s, pool, k, selection, stats, cuts=None):
@@ -287,45 +297,38 @@ def maxpool_layer_reach(inputs, layer,
                         stats: dict | None = None):
     """Propagate sets through a maxpool ``LayerDesc`` (checked when built).
 
-    Each set is walked depth first over ``layer.pools`` in list order.  A
-    piece settles all the pools it has not passed in one array pass
-    (``_settled_winners``), with no split and no classify call, and jumps
-    over them up to the next crossed pool, whose domains
-    (``_pool_domains``) become new pieces; a pool that no coordinate wins
-    kills the piece.  Output coordinate ``pool.out`` receives ``pool``'s
-    winner, and outputs come in lexicographic order of the per-pool
-    domains.  Stops, as ReLU does, at the first pop where ``_expired`` fires.
+    One ``_walk`` step per (piece, first pool not passed, winners from there
+    or None, output columns of the pools passed) item.  A piece settles all
+    the pools it has not passed in one array pass (``_settled_winners``),
+    with no split and no classify call, and jumps over them up to the next
+    crossed pool, whose domains (``_pool_domains``) open new pieces; a pool
+    that no coordinate wins kills the piece.  Output coordinate ``pool.out``
+    receives ``pool``'s winner, and outputs come in lexicographic order of
+    the per-pool domains (pools in list order).  Budget as in ``_walk``.
     """
     pools = layer.pools
     outs = np.array([p.out for p in pools], dtype=np.intp)
     idx = layer.pool_idx[outs]  # pool_idx rows are in out order
+    slots = np.arange(len(pools))
 
     if any(s.ambient_dim != layer.width_in for s in inputs):
         raise LatticeError("set width does not match the maxpool input")
     _check_selection(selection, inputs)
-    out = []
-    # (piece, first pool not passed, winners from there or None,
-    #  output columns of the pools passed), one stack for every input
-    work = [(s, 0, None, np.zeros(len(pools), dtype=np.intp))
-            for s in reversed(inputs)]
-    while work and not _expired(stats, len(out) + len(work)):
-        t, pi, won, cols = work.pop()
+
+    def step(t, pi, won, cols):
         if won is None:
             won = _settled_winners(t.vertices, idx[pi:])
         open_ = np.flatnonzero(won < 0)
         n = int(open_[0]) if open_.size else won.size
         cols[outs[pi:pi + n]] = idx[np.arange(pi, pi + n), won[:n]]
         if n == won.size:
-            out.append(eliminate_dims(t, cols))
-            continue
+            return eliminate_dims(t, cols), ()
         if won[n] == -2:
-            continue
-        pi += n
-        pool = pools[pi]
-        # pushed in reverse so the first domain's subtree comes out first
-        for piece, k in reversed(_pool_domains(t, pool, selection, stats)):
-            c2 = cols.copy()
-            c2[pool.out] = pool.dims[k]
-            work.append((piece, pi + 1,
-                         won[n + 1:] if piece is t else None, c2))
-    return out
+            return None, ()
+        pool = pools[pi + n]
+        return None, [(piece, pi + n + 1, won[n + 1:] if piece is t else None,
+                       np.where(slots == pool.out, pool.dims[k], cols))
+                      for piece, k in _pool_domains(t, pool, selection, stats)]
+
+    return _walk([(s, 0, None, np.zeros_like(slots)) for s in inputs], step,
+                 stats)

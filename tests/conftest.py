@@ -73,6 +73,17 @@ def in_union(sets, X, tol, use_region=False):
     return hit
 
 
+def children_of(lat, pos):
+    """Child positions of the face at position ``pos`` of ``lat``."""
+    return lat.child_idx[lat.child_ptr[pos]:lat.child_ptr[pos + 1]]
+
+
+def counts_by_dim(lat):
+    """Face counts {dim: count} of ``lat``."""
+    ks, cs = np.unique(lat.dims, return_counts=True)
+    return {int(k): int(c) for k, c in zip(ks, cs)}
+
+
 def hull_face_counts_3d(points):
     """Face counts {dim: count} of a full-dimensional 3D hull via qhull.
 

@@ -13,7 +13,7 @@ from latreach import (FaceLattice, LatticeSet, Hyperplane, LatticeError,
                       split_by_hyperplane, eliminate_dims, validate_lattice,
                       validate_set, set_to_dict, set_from_dict)
 from latreach.lattice import coord_hyperplane, sides
-from conftest import tetra_set, hull_face_counts_3d
+from conftest import tetra_set, hull_face_counts_3d, children_of, counts_by_dim
 
 
 def box_counts_oracle(d):
@@ -31,9 +31,9 @@ def test_box_lattice_counts():
         validate_set(s)
         assert s.lattice.n_faces == 3 ** d
         assert s.lattice.n_vertices == 2 ** d
-        assert s.lattice.counts_by_dim() == box_counts_oracle(d)
+        assert counts_by_dim(s.lattice) == box_counts_oracle(d)
         # binomial structure: C(d,k) * 2^(d-k) faces of dim k
-        for k, c in s.lattice.counts_by_dim().items():
+        for k, c in counts_by_dim(s.lattice).items():
             assert c == math.comb(d, k) * 2 ** (d - k)
 
 
@@ -102,7 +102,7 @@ def test_split_square_basic():
     pos, neg = split_by_hyperplane(s, Hyperplane([1.0, 0.0], 0.0))
     for part in (pos, neg):
         validate_set(part)
-        assert part.lattice.counts_by_dim() == {0: 4, 1: 4, 2: 1}
+        assert counts_by_dim(part.lattice) == {0: 4, 1: 4, 2: 1}
     assert sorted(map(tuple, pos.vertices.tolist())) == \
         [(0.0, -1.0), (0.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
     assert sorted(map(tuple, neg.vertices.tolist())) == \
@@ -134,7 +134,7 @@ def test_split_through_vertices():
     pos, neg = split_by_hyperplane(s, Hyperplane([1.0, -1.0], 0.0))
     for part, extra in ((pos, (1.0, 0.0)), (neg, (0.0, 1.0))):
         validate_set(part)
-        assert part.lattice.counts_by_dim() == {0: 3, 1: 3, 2: 1}
+        assert counts_by_dim(part.lattice) == {0: 3, 1: 3, 2: 1}
         vs = sorted(map(tuple, part.vertices.tolist()))
         assert (0.0, 0.0) in vs and (1.0, 1.0) in vs and extra in vs
     # the zero corners are shared unduplicated: same vertex ids
@@ -206,7 +206,7 @@ def test_split_new_vertex_count_matches_cut_edges(rng):
         lo, hi = lat.dim_range(1)
         crossing = 0
         for e in range(lo, hi):
-            ch = lat.children_of(e)
+            ch = children_of(lat, e)
             a, b = cls.labels[ch[0]], cls.labels[ch[1]]
             if a * b < 0:
                 crossing += 1
@@ -247,7 +247,7 @@ def test_split_euler_characteristic(rng):
                 continue
             validate_set(part)
             chi = sum((-1) ** k * c
-                      for k, c in part.lattice.counts_by_dim().items())
+                      for k, c in counts_by_dim(part.lattice).items())
             assert chi == 1
 
 
@@ -260,8 +260,8 @@ def test_tetra_split_against_hull_oracle():
     validate_set(neg)
     assert pos.n_vertices == 4
     assert neg.n_vertices == 6
-    assert pos.lattice.counts_by_dim() == hull_face_counts_3d(pos.vertices)
-    assert neg.lattice.counts_by_dim() == hull_face_counts_3d(neg.vertices)
+    assert counts_by_dim(pos.lattice) == hull_face_counts_3d(pos.vertices)
+    assert counts_by_dim(neg.lattice) == hull_face_counts_3d(neg.vertices)
 
 
 def test_eliminate_dims():
@@ -401,15 +401,15 @@ def test_dump_roundtrip(rng):
     validate_set(back)
     assert np.allclose(back.vertices, pos.vertices)
     assert np.allclose(back.region_vertices, pos.region_vertices)
-    assert back.lattice.counts_by_dim() == pos.lattice.counts_by_dim()
+    assert counts_by_dim(back.lattice) == counts_by_dim(pos.lattice)
     # same children structure under the id relabeling
     by_id_orig = {int(pos.lattice.ids[f]):
                   sorted(int(pos.lattice.ids[c])
-                         for c in pos.lattice.children_of(f))
+                         for c in children_of(pos.lattice, f))
                   for f in range(pos.lattice.n_faces)}
     by_id_back = {int(back.lattice.ids[f]):
                   sorted(int(back.lattice.ids[c])
-                         for c in back.lattice.children_of(f))
+                         for c in children_of(back.lattice, f))
                   for f in range(back.lattice.n_faces)}
     assert by_id_orig == by_id_back
 

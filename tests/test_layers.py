@@ -9,7 +9,7 @@ from latreach import (LatticeError, LatticeSet, Hyperplane, PoolSpec, NeuronSele
                       ModelError, build_box_lattice, affine_transform,
                       validate_set, relu_layer_reach, maxpool_pool_reach,
                       maxpool_layer_reach, affine_layer_reach)
-from latreach import layers
+from latreach import lattice, layers
 from latreach.lattice import sides
 from latreach.layers import _domain_chain
 from conftest import dedup_vertex_set, in_union, maxpool_layer
@@ -98,6 +98,20 @@ def test_relu_many_parallel_crossings_do_not_recurse():
     assert all(a > b for a, b in zip(tops, tops[1:]))
     assert np.allclose(sorted(outs[0].region_vertices[:, 0]), [0.9, 1.0])
     assert (outs[-1].vertices == 0).all()
+
+
+def test_relu_splits_on_its_own_sign_pass(monkeypatch):
+    # the sign pass already labels the split column, so none of the 1,200
+    # splits on the kink segment classifies again
+    calls = []
+    real = lattice.classify_vertices
+    monkeypatch.setattr(lattice, "classify_vertices",
+                        lambda *a: calls.append(1) or real(*a))
+    seg = build_box_lattice([-1.0], [1.0])
+    s = affine_transform(seg, np.ones((1200, 1)), np.linspace(-0.9, 0.9, 1200))
+    stats = {}
+    assert len(relu_layer_reach([s], stats=stats)) == 1201
+    assert stats["splits"] == 1200 and calls == []
 
 
 def test_relu_non_finite_row_ends():

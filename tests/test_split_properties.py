@@ -18,7 +18,7 @@ from latreach import (ZERO_TOL, Hyperplane, LatticeSet, affine_transform,
                       build_box_lattice, classify_vertices, lattice,
                       split_by_hyperplane, validate_set)
 from latreach.lattice import coord_hyperplane, sides
-from conftest import hull_face_counts_3d
+from conftest import hull_face_counts_3d, children_of, counts_by_dim
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -103,8 +103,8 @@ def _check_side(s, side, h, sign):
                                   s.region_vertices[p])
             continue
         edge = next(f for f in range(out.n_vertices, out.n_faces)
-                    if out.ids[f] < lat.next_id and v in out.children_of(f))
-        e0, e1 = lat.children_of(pos_of_id[int(out.ids[edge])])
+                    if out.ids[f] < lat.next_id and v in children_of(out, f))
+        e0, e1 = children_of(lat, pos_of_id[int(out.ids[edge])])
         r0, r1 = s.region_vertices[e0], s.region_vertices[e1]
         t = ((side.region_vertices[v] - r0) @ (r1 - r0)
              / ((r1 - r0) @ (r1 - r0)))
@@ -139,7 +139,7 @@ def test_split_segments(case):
     if pos is not None and neg is not None:
         assert pos.n_vertices == neg.n_vertices == 2
         for side, sign in ((pos, 1.0), (neg, -1.0)):
-            assert side.lattice.counts_by_dim() == {0: 2, 1: 1}
+            assert counts_by_dim(side.lattice) == {0: 2, 1: 1}
             _check_side(s, side, h, sign)
         assert int(pos.lattice.ids[1]) == int(neg.lattice.ids[1])
 
@@ -155,7 +155,7 @@ def test_split_face_counts_match_hull_3d(case):
         gaps = np.linalg.norm(V[:, None] - V[None], axis=2)
         if gaps[np.triu_indices(len(V), 1)].min() < 1e-6:
             continue  # near-coincident vertices: qhull merges them
-        assert side.lattice.counts_by_dim() == hull_face_counts_3d(V)
+        assert counts_by_dim(side.lattice) == hull_face_counts_3d(V)
 
 
 def _assert_bitwise_equal(got, want):
@@ -208,7 +208,7 @@ def test_split_through_vertices_only():
     pos, neg = split_by_hyperplane(s, Hyperplane([1.0, 1.0], -1.0))
     for side in (pos, neg):
         validate_set(side)
-        assert side.lattice.counts_by_dim() == {0: 3, 1: 3, 2: 1}
+        assert counts_by_dim(side.lattice) == {0: 3, 1: 3, 2: 1}
         assert side.lattice.next_id == s.lattice.next_id + 1
     assert set(map(tuple, pos.vertices.tolist())) == {(1, 0), (0, 1), (1, 1)}
     assert set(map(tuple, neg.vertices.tolist())) == {(1, 0), (0, 1), (0, 0)}
