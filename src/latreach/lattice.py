@@ -81,25 +81,13 @@ class Hyperplane:
 
 def coord_hyperplane(ambient_dim: int, i: int, j: int | None = None,
                      offset: float = 0.0) -> Hyperplane:
-    """``x[i] - x[j] + offset = 0``, or ``x[i] + offset = 0`` without ``j``.
-
-    The normal is a finite non-empty vector by construction, so of
-    Hyperplane's checks only ``i != j`` and a finite ``offset`` remain.
-    """
-    b = float(offset)
-    if i == j:
-        raise LatticeError("hyperplane normal must be nonzero")
-    if not np.isfinite(b):
-        raise LatticeError("hyperplane normal and offset must be finite")
+    """``x[i] - x[j] + offset = 0``, or ``x[i] + offset = 0`` without ``j``;
+    ``i == j`` leaves a zero normal, which Hyperplane rejects."""
     a = np.zeros(ambient_dim)
     a[i] = 1.0
     if j is not None:
-        a[j] = -1.0
-    a.setflags(write=False)
-    h = object.__new__(Hyperplane)
-    object.__setattr__(h, "normal", a)
-    object.__setattr__(h, "offset", b)
-    return h
+        a[j] -= 1.0
+    return Hyperplane(a, offset)
 
 
 def sides(values, scale):
@@ -121,6 +109,13 @@ class VertexClassification:
     has_pos: bool
     has_neg: bool
     values: np.ndarray
+
+
+def cut_labels(values, pos, neg) -> VertexClassification:
+    """The classification of a cut whose signed ``values`` have the
+    ``sides`` masks ``pos`` and ``neg``."""
+    return VertexClassification(pos.astype(np.int8) - neg, bool(pos.any()),
+                                bool(neg.any()), values)
 
 
 class FaceLattice:
@@ -315,19 +310,19 @@ def classify_vertices(s: LatticeSet, h: Hyperplane) -> VertexClassification:
     nz = h.normal.nonzero()[0]
     av = s.vertices[:, nz] @ h.normal[nz]
     vals = av + h.offset
-    pos, neg = sides(vals, np.abs(av) + abs(h.offset))
-    return VertexClassification(pos.astype(np.int8) - neg, bool(pos.any()),
-                                bool(neg.any()), vals)
+    return cut_labels(vals, *sides(vals, np.abs(av) + abs(h.offset)))
 
 
-def split_by_hyperplane(s: LatticeSet, h: Hyperplane, keep=(True, True),
+def split_by_hyperplane(s: LatticeSet, h: Hyperplane | None,
+                        keep=(True, True),
                         cls: VertexClassification | None = None):
     """Split ``s`` into its closed positive and negative restrictions.
 
     Returns ``(positive, negative)``, building only the sides that ``keep``
     (a ``(positive, negative)`` pair of flags) asks for; a side not asked
     for comes back as None.  ``cls`` is the caller's
-    ``classify_vertices(s, h)``, reused instead of classifying again.  A
+    ``classify_vertices(s, h)``, reused instead of classifying again; ``h``
+    is read only to classify, so it may be None when ``cls`` is given.  A
     side without strictly-signed vertices comes back as None and the whole
     set is returned on the other side (an all-zero set counts as positive).
     When both sides are hit, the section faces on the hyperplane are found
@@ -559,19 +554,12 @@ def set_to_dict(s: LatticeSet) -> dict:
 # values (face ids, child ids and coordinates), and holds at least one set;
 # formatting holds about 100 bytes per value, so a chunk stays near 1 MB
 DUMP_CHUNK_VALUES = 1 << 13
-_TEMPLATE_KIDS = 64  # prebuilt face templates go up to this many children
 
 
+@functools.lru_cache(maxsize=1 << 10)
 def _face_template(dim: int, n_kids: int) -> str:
     kids = ", ".join(["%d"] * n_kids)
     return f'{{"id": %d, "dim": {dim}, "children": [{kids}]}}'
-
-
-@functools.cache
-def _face_templates() -> np.ndarray:
-    """Face templates by (dim, child count), built on the first dump."""
-    return np.array([[_face_template(k, n) for n in range(_TEMPLATE_KIDS + 1)]
-                     for k in range(MAX_BOX_DIM + 1)], dtype=object)
 
 
 def _rows_template(m: np.ndarray) -> str:
@@ -595,12 +583,11 @@ def _chunk_json(sets) -> str:
                       [lat.child_idx.size for lat in lats])
     kids = ids[np.concatenate([lat.child_idx for lat in lats]) + shift]
 
-    faces = _face_templates()[np.minimum(dims, MAX_BOX_DIM),
-                              np.minimum(n_kids, _TEMPLATE_KIDS)]
-    for i in ((dims > MAX_BOX_DIM)
-              | (n_kids > _TEMPLATE_KIDS)).nonzero()[0].tolist():
-        faces[i] = _face_template(dims[i], n_kids[i])
-    faces = faces.tolist()
+    # one template per distinct (dim, child count) of the chunk
+    keys, which = np.unique(dims.astype(np.int64) << 32 | n_kids,
+                            return_inverse=True)
+    faces = np.array([_face_template(k >> 32, k & 0xFFFFFFFF)
+                      for k in keys.tolist()], dtype=object)[which].tolist()
     texts, counts, floats = [], [], []
     end = 0
     for s, n in zip(sets, n_faces):

@@ -2,13 +2,16 @@
 
 Each function maps a list of LatticeSets to the list of their images under
 one layer.  ReLU and maxpool are each one step on one set, run depth first
-by one walker (``_walk``) that checks the budget at every pop.  A ReLU step
-only branches on a neuron whose hyperplane crosses the set.  A maxpool step
-settles, in one array pass, every pool whose comparison hyperplanes the set
-does not cross; only crossed pools enumerate the linearity domains where
-one pool coordinate dominates the others.  In fast mode a NeuronSelection
-marks the neurons treated exactly; splits on the rest keep a single child,
-so fast outputs are always faces of exact outputs rather than new geometry.
+by one walker (``_walk``) that checks the budget at every pop.  Both split
+on the labels of their own sign pass, so no layer classifies a vertex.  A
+ReLU step only branches on a neuron whose hyperplane crosses the set.  A
+maxpool step settles, in one pair-sign pass (``_pair_signs``), every pool
+whose comparison hyperplanes the set does not cross; only crossed pools
+enumerate the linearity domains where one pool coordinate dominates the
+others, cutting on the labels of one such pass per piece.  In fast mode a
+NeuronSelection marks the neurons treated exactly; splits on the rest keep
+a single child, so fast outputs are always faces of exact outputs rather
+than new geometry.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeError, LatticeSet, VertexClassification, as_int,
-                      coord_hyperplane, sides, classify_vertices,
+from .lattice import (LatticeError, LatticeSet, as_int, cut_labels, sides,
                       eliminate_dims, affine_transform, split_by_hyperplane)
+from .lattice import classify_vertices  # noqa: F401  (perfbench/tracer.py wraps it)
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,7 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
         k = int(news[0])
         j = int((goes_pos & goes_neg).argmax())  # k's column in the pass
         pos_s, neg_s = split_by_hyperplane(
-            s, coord_hyperplane(s.ambient_dim, k), cls=VertexClassification(
-                pos[:, j].astype(np.int8) - neg[:, j], True, True, sub[:, j]))
+            s, None, cls=cut_labels(sub[:, j], pos[:, j], neg[:, j]))
         _count_split(stats)
         pos_s, neg_s = (None if _pruned_empty(c) else c for c in (pos_s, neg_s))
         sel_k = selection is None or bool(selection.selected[k])
@@ -173,27 +175,37 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     return _walk([(s, np.arange(s.ambient_dim)) for s in inputs], step, stats)
 
 
-def _domain_chain(s, pool, k, selection, stats, cuts=None):
+def _pair_signs(v, windows, pairs):
+    """``(d, pos, neg)`` of every local pair ``(i, j)`` of every window, on
+    vertex rows ``v``: ``d = v[:, windows[..., i]] - v[:, windows[..., j]]``
+    and its ``sides`` masks, the labels ``classify_vertices`` gives the cut
+    ``x_i - x_j``.  The pair axis is last, in ``pairs`` order."""
+    lo, hi = zip(*pairs)
+    d = v[:, windows[..., lo]] - v[:, windows[..., hi]]
+    return (d, *sides(d, np.abs(d)))
+
+
+def _domain_chain(s, pool, k, selection, stats, signs=None):
     """Clip ``s`` to the domain where pool coordinate ``k`` is the maximum.
 
     Applies the comparison hyperplanes involving ``k`` in pool pair order and
-    keeps the side where ``dims[k]`` wins.  Comparisons that do not cross the
-    set are decided by vertex signs (an all-tie comparison counts as won by
-    the lower coordinate).  ``cuts`` keeps each pair's hyperplane and
-    classification on ``s`` itself for the pool's other chains.  Returns
-    None when the domain dies or ``stats`` expires, before or during the
-    chain.
+    keeps the side where ``dims[k]`` wins.  Each cut's labels come from the
+    ``_pair_signs`` pass over ``pool.pairs()`` of the current piece:
+    ``signs`` on ``s`` when the caller has it, a new pass on each piece a
+    split makes.  Comparisons that do not cross the piece are decided by
+    those labels (an all-tie comparison counts as won by the lower
+    coordinate).  Returns None when the domain dies or ``stats`` expires,
+    before or during the chain.
     """
     if _expired(stats):
         return None
-    t, cuts = s, {} if cuts is None else cuts
-    for i, j in pool.pairs():
+    t = s
+    for p, (i, j) in enumerate(pool.pairs()):
         if k not in (i, j):
             continue
-        if (i, j) not in cuts:
-            h = coord_hyperplane(t.ambient_dim, pool.dims[i], pool.dims[j])
-            cuts[i, j] = h, classify_vertices(t, h)
-        h, cls = cuts[i, j]
+        if signs is None:
+            signs = _pair_signs(t.vertices, np.array(pool.dims), pool.pairs())
+        cls = cut_labels(*(a[:, p] for a in signs))
         want_pos = i == k
         if not (cls.has_pos and cls.has_neg):
             if cls.has_neg == want_pos:
@@ -207,21 +219,23 @@ def _domain_chain(s, pool, k, selection, stats, cuts=None):
         if sel_i != sel_j and sel_i != want_pos:
             return None
         both = not (sel_i or sel_j)
-        p, n = split_by_hyperplane(t, h, (want_pos or both,
-                                          not want_pos or both), cls)
+        pos, neg = split_by_hyperplane(t, None, (want_pos or both,
+                                                 not want_pos or both), cls)
         _count_split(stats)
-        t, cuts = p if want_pos else n, {}  # the new piece's own cuts
-        if not _survivors(p, n, sel_i, sel_j)[not want_pos] or \
+        t, signs = pos if want_pos else neg, None
+        if not _survivors(pos, neg, sel_i, sel_j)[not want_pos] or \
                 _pruned_empty(t) or _expired(stats):
             return None
     return t
 
 
 def _pool_domains(s, pool, selection, stats):
-    """All nonempty (piece, winner) linearity domains of one pool over ``s``."""
-    doms, cuts = [], {}
+    """All nonempty (piece, winner) linearity domains of one pool over ``s``;
+    its chains share one ``_pair_signs`` pass on ``s``."""
+    doms = []
+    signs = _pair_signs(s.vertices, np.array(pool.dims), pool.pairs())
     for k in range(len(pool.dims)):
-        piece = _domain_chain(s, pool, k, selection, stats, cuts)
+        piece = _domain_chain(s, pool, k, selection, stats, signs)
         if piece is not None:
             doms.append((piece, k))
     if not doms and selection is not None:
@@ -229,7 +243,7 @@ def _pool_domains(s, pool, selection, stats):
         # the centroid's winning coordinate so the pool never returns empty
         centroid = s.vertices.mean(axis=0)
         k = int(np.argmax(centroid[list(pool.dims)]))
-        piece = _domain_chain(s, pool, k, None, stats, cuts)
+        piece = _domain_chain(s, pool, k, None, stats, signs)
         if piece is not None:
             doms.append((piece, k))
     return doms
@@ -256,40 +270,23 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
 
 
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # of a 4-window
-_LO, _HI = np.array(_PAIRS).T
-
-
-def _winner_table():
-    """The settled winner of each pattern of pair outcomes, where bit p of
-    the pattern is set when pair p's upper coordinate wins it: the window
-    coordinate that wins all three of its pairs, -2 if there is none.
-    Plain Python: numpy reductions at import would add to the memory of
-    every process, also of those that never meet a maxpool layer."""
-    table = []
-    for code in range(64):
-        wins = [0, 0, 0, 0]
-        for p, (i, j) in enumerate(_PAIRS):
-            wins[j if code >> p & 1 else i] += 1
-        table.append(wins.index(3) if 3 in wins else -2)
-    return np.array(table)
-
-
-_WINNER = _winner_table()
 
 
 def _settled_winners(v, idx):
-    """Each pool's winner on a set with vertex rows ``v``, in one array pass.
+    """Each pool's winner on a set with vertex rows ``v``, in one
+    ``_pair_signs`` pass over the windows ``idx``.
 
-    A pool whose comparisons the set does not cross is settled on the
-    values ``v_i - v_j`` and the ``sides`` zero band that
-    ``classify_vertices`` uses (a pair's lower coordinate wins unless a
-    vertex is negative): its winner's window index, or -2 if no coordinate
-    wins all its pairs.  A crossed pool gets -1.
+    A pool whose comparisons the set does not cross is settled on those
+    labels (a pair's lower coordinate wins unless a vertex is negative):
+    its winner is the window index that wins all three of its pairs, or -2
+    if none does.  A crossed pool gets -1.
     """
-    d = v[:, idx[:, _LO]] - v[:, idx[:, _HI]]
-    has_pos, has_neg = (m.any(axis=0) for m in sides(d, np.abs(d)))
+    _, pos, neg = _pair_signs(v, idx, _PAIRS)
+    has_pos, has_neg = pos.any(axis=0), neg.any(axis=0)
+    lo, hi = zip(*_PAIRS)
+    wins = (np.where(has_neg, hi, lo)[..., None] == np.arange(4)).sum(axis=1)
     return np.where((has_pos & has_neg).any(axis=1), -1,
-                    _WINNER[has_neg @ (1 << np.arange(6))])
+                    np.where(wins.max(axis=1) == 3, wins.argmax(axis=1), -2))
 
 
 def maxpool_layer_reach(inputs, layer,
@@ -299,12 +296,12 @@ def maxpool_layer_reach(inputs, layer,
 
     One ``_walk`` step per (piece, first pool not passed, winners from there
     or None, output columns of the pools passed) item.  A piece settles all
-    the pools it has not passed in one array pass (``_settled_winners``),
-    with no split and no classify call, and jumps over them up to the next
-    crossed pool, whose domains (``_pool_domains``) open new pieces; a pool
-    that no coordinate wins kills the piece.  Output coordinate ``pool.out``
-    receives ``pool``'s winner, and outputs come in lexicographic order of
-    the per-pool domains (pools in list order).  Budget as in ``_walk``.
+    the pools it has not passed in one pair-sign pass (``_settled_winners``),
+    with no split, and jumps over them up to the next crossed pool, whose
+    domains (``_pool_domains``) open new pieces; a pool that no coordinate
+    wins kills the piece.  Output coordinate ``pool.out`` receives
+    ``pool``'s winner, and outputs come in lexicographic order of the
+    per-pool domains (pools in list order).  Budget as in ``_walk``.
     """
     pools = layer.pools
     outs = np.array([p.out for p in pools], dtype=np.intp)

@@ -314,6 +314,8 @@ def test_coord_hyperplane():
     assert h.normal.tolist() == [-1.0, 0.0, 1.0] and h.offset == -0.5
     with pytest.raises(LatticeError, match="nonzero"):
         coord_hyperplane(3, 1, 1)
+    with pytest.raises(LatticeError, match="finite"):
+        coord_hyperplane(3, 1, 0, np.inf)
 
 
 def test_sides_zero_band():

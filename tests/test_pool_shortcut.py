@@ -192,18 +192,23 @@ def test_non_finite_set_settles_in_the_array_pass():
 def test_new_pieces_get_fresh_winners(monkeypatch):
     # both pools compare x with 0 and cross at x = 0; once the first pool
     # has split the segment there, the second is settled on each piece
-    calls = []
-    real = layers.classify_vertices
-    monkeypatch.setattr(layers, "classify_vertices",
-                        lambda s, h: calls.append(h) or real(s, h))
+    domains, classified = [], []
+    real_domains = layers._pool_domains
+    real_classify = lattice.classify_vertices
+    monkeypatch.setattr(layers, "_pool_domains",
+                        lambda *a: domains.append(a[1]) or real_domains(*a))
+    for module in (layers, lattice):  # the layer's name and the split's
+        monkeypatch.setattr(module, "classify_vertices", lambda *a:
+                            classified.append(1) or real_classify(*a))
     seg = build_box_lattice([-1.0], [1.0])
     s = affine_transform(seg, np.array([[1.0], [0.0], [1.0], [0.0]]),
                          np.zeros(4))
     pools = [PoolSpec((0, 1), 0), PoolSpec((2, 3), 1)]
     outs = maxpool_layer_reach([s], maxpool_layer(pools))
     assert len(outs) == 2
-    # one, for the first pool's pair: its two domain chains share it
-    assert len(calls) == 1
+    # only the first pool enumerates domains, and its chains cut on the
+    # labels of their pair-sign pass, not on a classify call
+    assert domains == [pools[0]] and classified == []
 
 
 def test_engine_reach_takes_the_loaded_pool_index(tmp_path):

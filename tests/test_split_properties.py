@@ -18,6 +18,7 @@ from latreach import (ZERO_TOL, Hyperplane, LatticeSet, affine_transform,
                       build_box_lattice, classify_vertices, lattice,
                       split_by_hyperplane, validate_set)
 from latreach.lattice import coord_hyperplane, sides
+from latreach.layers import _pair_signs
 from conftest import hull_face_counts_3d, children_of, counts_by_dim
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -240,6 +241,9 @@ def test_coordinate_cut_reads_only_its_coordinates(s, data):
     with np.errstate(invalid="ignore", over="ignore"):
         cls = classify_vertices(s, coord_hyperplane(d, i, j))
         diff = s.vertices[:, i] - (0.0 if j is None else s.vertices[:, j])
+        if j is not None:  # the maxpool pair-sign pass labels the same cut
+            _, pos, neg = _pair_signs(s.vertices, np.array([i, j]), [(0, 1)])
+            assert np.array_equal(cls.labels, (pos.astype(np.int8) - neg)[:, 0])
     pos, neg = sides(diff, np.abs(diff))
     assert np.array_equal(cls.labels, pos.astype(np.int8) - neg)
 
