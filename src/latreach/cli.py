@@ -156,7 +156,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
     groups = _pixel_groups(net.input_width, shape)
 
     t0 = time.perf_counter()
-    deadline = time.monotonic() + timeout if timeout is not None else None
+    deadline = time.monotonic() + (np.inf if timeout is None else timeout)
     cur = x0
     margin = float(y0[c] - np.delete(y0, c).max())
     used = np.zeros(len(groups), dtype=bool)
@@ -166,7 +166,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
     witnesses: list = []
 
     for _ in range(min(max_pixels, len(groups))):
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             status = "TIMEOUT"
             break
         # the loop stops at the first argmax != c, so c is still the class
@@ -179,8 +179,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
         target = int(np.argmax(scores))
         used[target] = True
 
-        remaining = (None if deadline is None
-                     else max(deadline - time.monotonic(), 1e-3))
+        remaining = max(deadline - time.monotonic(), 1e-3)
         step_t = time.perf_counter()
         res = reach(net, InputSpec(cur, tuple(groups[target]), epsilon),
                     replace(step, timeout=remaining), grads)
@@ -204,7 +203,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
             witnesses.append((cur, k))
             status = "UNSAFE"
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             status = "TIMEOUT"
             break
 

@@ -38,10 +38,6 @@ ZERO_TOL = 1e-9
 MAX_BOX_DIM = 10
 _I32 = np.iinfo(np.int32)
 
-# split sign bits indexed by label: 0 -> 0, +1 -> 1, -1 -> 2
-_SIGN_BITS = np.array([0, 1, 2], dtype=np.int8)
-
-
 class LatticeError(ValueError):
     """Raised when a lattice or set violates a structural invariant."""
 
@@ -95,27 +91,6 @@ def sides(values, scale):
     the zero band ``ZERO_TOL * max(1, scale)``."""
     tol = ZERO_TOL * np.maximum(1.0, scale)
     return values > tol, values < -tol
-
-
-@dataclass(frozen=True)
-class VertexClassification:
-    """Per-vertex position relative to a hyperplane.
-
-    ``labels`` holds +1 / -1 / 0 per vertex row (``sides``); ``values``
-    keeps the raw signed distances ``a.v + b`` for later interpolation.
-    """
-
-    labels: np.ndarray
-    has_pos: bool
-    has_neg: bool
-    values: np.ndarray
-
-
-def cut_labels(values, pos, neg) -> VertexClassification:
-    """The classification of a cut whose signed ``values`` have the
-    ``sides`` masks ``pos`` and ``neg``."""
-    return VertexClassification(pos.astype(np.int8) - neg, bool(pos.any()),
-                                bool(neg.any()), values)
 
 
 class FaceLattice:
@@ -296,13 +271,14 @@ def affine_transform(s: LatticeSet, W: np.ndarray, b: np.ndarray) -> LatticeSet:
     return LatticeSet(s.lattice, s.vertices @ W.T + b, s.region_vertices)
 
 
-def classify_vertices(s: LatticeSet, h: Hyperplane) -> VertexClassification:
-    """Label each vertex positive / negative / zero relative to ``h``.
+def classify_vertices(s: LatticeSet, h: Hyperplane):
+    """The cut ``(values, pos, neg)`` of ``s`` by ``h``: the signed values
+    ``a.v + b`` of the vertex rows and their ``sides`` masks.
 
     The zero band is relative: vertex ``v`` is on the hyperplane when
     ``|a.v + b| <= ZERO_TOL * max(1, |a.v| + |b|)``.  ``a.v`` sums only the
     terms where ``a`` is nonzero, so a non-finite coordinate outside the
-    cut does not change the labels (``inf * 0`` would be nan).  A strictly
+    cut does not change the masks (``inf * 0`` would be nan).  A strictly
     signed value exceeds its band, so it is finite.
     """
     if h.normal.size != s.ambient_dim:
@@ -310,21 +286,21 @@ def classify_vertices(s: LatticeSet, h: Hyperplane) -> VertexClassification:
     nz = h.normal.nonzero()[0]
     av = s.vertices[:, nz] @ h.normal[nz]
     vals = av + h.offset
-    return cut_labels(vals, *sides(vals, np.abs(av) + abs(h.offset)))
+    return (vals, *sides(vals, np.abs(av) + abs(h.offset)))
 
 
 def split_by_hyperplane(s: LatticeSet, h: Hyperplane | None,
-                        keep=(True, True),
-                        cls: VertexClassification | None = None):
+                        keep=(True, True), cls=None):
     """Split ``s`` into its closed positive and negative restrictions.
 
     Returns ``(positive, negative)``, building only the sides that ``keep``
     (a ``(positive, negative)`` pair of flags) asks for; a side not asked
-    for comes back as None.  ``cls`` is the caller's
-    ``classify_vertices(s, h)``, reused instead of classifying again; ``h``
-    is read only to classify, so it may be None when ``cls`` is given.  A
-    side without strictly-signed vertices comes back as None and the whole
-    set is returned on the other side (an all-zero set counts as positive).
+    for comes back as None.  ``cls`` is the caller's cut ``(values, pos,
+    neg)`` of ``s``, as ``classify_vertices(s, h)`` or a layer's own sign
+    pass gives it, reused instead of classifying; ``h`` is read only to
+    classify, so it may be None when ``cls`` is given.  A side without
+    strictly-signed vertices comes back as None and the whole set is
+    returned on the other side (an all-zero set counts as positive).
     When both sides are hit, the section faces on the hyperplane are found
     once for either side: new vertices are interpolated on the crossing
     edges (in both ``vertices`` and ``region_vertices`` with the same
@@ -336,10 +312,9 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane | None,
     dimension level, all crossing edges are interpolated together, and the
     children of every new section face are gathered in one flattened pass.
     """
-    if cls is None:
-        cls = classify_vertices(s, h)
-    if not (cls.has_pos and cls.has_neg):
-        pos, neg = (s, None) if not cls.has_neg else (None, s)
+    vals, pos, neg = classify_vertices(s, h) if cls is None else cls
+    if not (pos.any() and neg.any()):
+        pos, neg = (None, s) if neg.any() else (s, None)
         return pos if keep[0] else None, neg if keep[1] else None
 
     lat = s.lattice
@@ -349,14 +324,12 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane | None,
     ptr, idx = lat.child_ptr.astype(np.intp), lat.child_idx.astype(np.intp)
     # dim k occupies positions start[k]:start[k + 1]
     start = lat.dims.searchsorted(np.arange(lat.top_dim + 2)).tolist()
-    labels = cls.labels
-    vals = cls.values
 
     # sign bits per face: 1 = has a positive vertex, 2 = has a negative one,
     # so 3 marks a cut face and 0 an all-zero one; children live at lower
     # levels, so their flags are final when a level is reduced
     flags = np.zeros(nf, dtype=np.int8)
-    flags[:nv] = _SIGN_BITS[labels]
+    flags[:nv] = pos + 2 * neg
     for k in range(1, lat.top_dim + 1):
         lo, hi = start[k], start[k + 1]
         a, b = ptr[lo], ptr[hi]
@@ -390,7 +363,7 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane | None,
     # |vals[n]| <= vals[p] - vals[n] also after rounding, within [0, 1]
     edges = src[:src.searchsorted(start[2])]
     v0, v1 = idx[ptr[edges]], idx[ptr[edges] + 1]
-    v0_pos = labels[v0] > 0
+    v0_pos = pos[v0]
     p, n = np.where(v0_pos, v0, v1), np.where(v0_pos, v1, v0)
     t = (-vals[n] / (vals[p] - vals[n]))[:, None]
     vn, rn = s.vertices[n], s.region_vertices[n]

@@ -3,15 +3,16 @@
 Each function maps a list of LatticeSets to the list of their images under
 one layer.  ReLU and maxpool are each one step on one set, run depth first
 by one walker (``_walk``) that checks the budget at every pop.  Both split
-on the labels of their own sign pass, so no layer classifies a vertex.  A
-ReLU step only branches on a neuron whose hyperplane crosses the set.  A
-maxpool step settles, in one pair-sign pass (``_pair_signs``), every pool
-whose comparison hyperplanes the set does not cross; only crossed pools
-enumerate the linearity domains where one pool coordinate dominates the
-others, cutting on the labels of one such pass per piece.  In fast mode a
-NeuronSelection marks the neurons treated exactly; splits on the rest keep
-a single child, so fast outputs are always faces of exact outputs rather
-than new geometry.
+on the cut ``(values, pos, neg)`` their own sign pass gives, so no layer
+classifies a vertex.  A ReLU step only branches on a neuron whose
+hyperplane crosses the set.  A maxpool piece makes one pair-sign pass
+(``_pair_signs``) over the windows of the pools it has not passed; it
+settles every pool whose comparison hyperplanes it does not cross, and
+only crossed pools enumerate the linearity domains where one pool
+coordinate dominates the others, cutting on that pass's columns.  In fast
+mode a NeuronSelection marks the neurons treated exactly; splits on the
+rest keep a single child, so fast outputs are always faces of exact
+outputs rather than new geometry.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeError, LatticeSet, as_int, cut_labels, sides,
-                      eliminate_dims, affine_transform, split_by_hyperplane)
+from .lattice import (LatticeError, LatticeSet, as_int, sides, eliminate_dims,
+                      affine_transform, split_by_hyperplane)
 from .lattice import classify_vertices  # noqa: F401  (perfbench/tracer.py wraps it)
 
 
@@ -44,10 +45,12 @@ class PoolSpec:
         if min(dims) < 0 or self.out < 0:
             raise LatticeError("negative pool index")
 
-    def pairs(self):
-        """Local index pairs (i, j), i < j, in fixed comparison order."""
-        n = len(self.dims)
-        return [(i, j) for j in range(1, n) for i in range(j)]
+    @property
+    def window(self):
+        """``dims`` padded to 4 with the last coordinate.  A repeat ties with
+        that coordinate and loses, so a padded entry never crosses and never
+        wins."""
+        return self.dims + self.dims[-1:] * (4 - len(self.dims))
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
         k = int(news[0])
         j = int((goes_pos & goes_neg).argmax())  # k's column in the pass
         pos_s, neg_s = split_by_hyperplane(
-            s, None, cls=cut_labels(sub[:, j], pos[:, j], neg[:, j]))
+            s, None, cls=(sub[:, j], pos[:, j], neg[:, j]))
         _count_split(stats)
         pos_s, neg_s = (None if _pruned_empty(c) else c for c in (pos_s, neg_s))
         sel_k = selection is None or bool(selection.selected[k])
@@ -175,12 +178,16 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     return _walk([(s, np.arange(s.ambient_dim)) for s in inputs], step, stats)
 
 
-def _pair_signs(v, windows, pairs):
-    """``(d, pos, neg)`` of every local pair ``(i, j)`` of every window, on
-    vertex rows ``v``: ``d = v[:, windows[..., i]] - v[:, windows[..., j]]``
-    and its ``sides`` masks, the labels ``classify_vertices`` gives the cut
-    ``x_i - x_j``.  The pair axis is last, in ``pairs`` order."""
-    lo, hi = zip(*pairs)
+_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # of a window
+
+
+def _pair_signs(v, windows):
+    """The cuts ``(d, pos, neg)`` of every pair ``(i, j)`` of ``_PAIRS`` in
+    every 4-coordinate window (``PoolSpec.window``), on vertex rows ``v``:
+    ``d = v[:, windows[..., i]] - v[:, windows[..., j]]`` and its ``sides``
+    masks, as ``classify_vertices`` gives the cut ``x_i - x_j``.  The pair
+    axis is last."""
+    lo, hi = zip(*_PAIRS)
     d = v[:, windows[..., lo]] - v[:, windows[..., hi]]
     return (d, *sides(d, np.abs(d)))
 
@@ -188,27 +195,27 @@ def _pair_signs(v, windows, pairs):
 def _domain_chain(s, pool, k, selection, stats, signs=None):
     """Clip ``s`` to the domain where pool coordinate ``k`` is the maximum.
 
-    Applies the comparison hyperplanes involving ``k`` in pool pair order and
-    keeps the side where ``dims[k]`` wins.  Each cut's labels come from the
-    ``_pair_signs`` pass over ``pool.pairs()`` of the current piece:
-    ``signs`` on ``s`` when the caller has it, a new pass on each piece a
-    split makes.  Comparisons that do not cross the piece are decided by
-    those labels (an all-tie comparison counts as won by the lower
-    coordinate).  Returns None when the domain dies or ``stats`` expires,
-    before or during the chain.
+    Applies the comparison hyperplanes involving ``k`` in ``_PAIRS`` order
+    and keeps the side where ``dims[k]`` wins.  Each cut is a column of the
+    current piece's ``_pair_signs`` pass over ``pool.window``: ``signs`` on
+    ``s`` when the caller has it, a new pass on each piece a split makes.
+    Comparisons that do not cross the piece are decided by their masks (an
+    all-tie comparison counts as won by the lower coordinate).  Returns None
+    when the domain dies or ``stats`` expires, before or during the chain.
     """
     if _expired(stats):
         return None
     t = s
-    for p, (i, j) in enumerate(pool.pairs()):
-        if k not in (i, j):
+    for p, (i, j) in enumerate(_PAIRS):
+        if k not in (i, j) or j >= len(pool.dims):
             continue
         if signs is None:
-            signs = _pair_signs(t.vertices, np.array(pool.dims), pool.pairs())
-        cls = cut_labels(*(a[:, p] for a in signs))
+            signs = _pair_signs(t.vertices, np.array(pool.window))
+        cut = tuple(a[:, p] for a in signs)
+        has_pos, has_neg = cut[1].any(), cut[2].any()
         want_pos = i == k
-        if not (cls.has_pos and cls.has_neg):
-            if cls.has_neg == want_pos:
+        if not (has_pos and has_neg):
+            if has_neg == want_pos:
                 return None
             continue
         sel_i, sel_j = ((True, True) if selection is None else
@@ -220,7 +227,7 @@ def _domain_chain(s, pool, k, selection, stats, signs=None):
             return None
         both = not (sel_i or sel_j)
         pos, neg = split_by_hyperplane(t, None, (want_pos or both,
-                                                 not want_pos or both), cls)
+                                                 not want_pos or both), cut)
         _count_split(stats)
         t, signs = pos if want_pos else neg, None
         if not _survivors(pos, neg, sel_i, sel_j)[not want_pos] or \
@@ -229,11 +236,13 @@ def _domain_chain(s, pool, k, selection, stats, signs=None):
     return t
 
 
-def _pool_domains(s, pool, selection, stats):
-    """All nonempty (piece, winner) linearity domains of one pool over ``s``;
-    its chains share one ``_pair_signs`` pass on ``s``."""
+def _pool_domains(s, pool, selection, stats, signs=None):
+    """All nonempty (piece, winner) linearity domains of one pool over ``s``.
+    Its chains share one ``_pair_signs`` pass on ``s`` over ``pool.window``:
+    ``signs``, the pool's columns of the caller's pass, or else a new one."""
     doms = []
-    signs = _pair_signs(s.vertices, np.array(pool.dims), pool.pairs())
+    if signs is None:
+        signs = _pair_signs(s.vertices, np.array(pool.window))
     for k in range(len(pool.dims)):
         piece = _domain_chain(s, pool, k, selection, stats, signs)
         if piece is not None:
@@ -269,19 +278,15 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     return out
 
 
-_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # of a 4-window
+def _settled_winners(pos, neg):
+    """Each pool's winner on a piece, read from the ``sides`` masks ``pos``
+    and ``neg`` of its ``_pair_signs`` pass (vertex rows, pools, pairs).
 
-
-def _settled_winners(v, idx):
-    """Each pool's winner on a set with vertex rows ``v``, in one
-    ``_pair_signs`` pass over the windows ``idx``.
-
-    A pool whose comparisons the set does not cross is settled on those
-    labels (a pair's lower coordinate wins unless a vertex is negative):
-    its winner is the window index that wins all three of its pairs, or -2
-    if none does.  A crossed pool gets -1.
+    A pool whose comparisons the piece does not cross is settled on those
+    masks (a pair's lower coordinate wins unless a vertex is negative): its
+    winner is the window index that wins all three of its pairs, or -2 if
+    none does.  A crossed pool gets -1.
     """
-    _, pos, neg = _pair_signs(v, idx, _PAIRS)
     has_pos, has_neg = pos.any(axis=0), neg.any(axis=0)
     lo, hi = zip(*_PAIRS)
     wins = (np.where(has_neg, hi, lo)[..., None] == np.arange(4)).sum(axis=1)
@@ -294,14 +299,16 @@ def maxpool_layer_reach(inputs, layer,
                         stats: dict | None = None):
     """Propagate sets through a maxpool ``LayerDesc`` (checked when built).
 
-    One ``_walk`` step per (piece, first pool not passed, winners from there
-    or None, output columns of the pools passed) item.  A piece settles all
-    the pools it has not passed in one pair-sign pass (``_settled_winners``),
-    with no split, and jumps over them up to the next crossed pool, whose
-    domains (``_pool_domains``) open new pieces; a pool that no coordinate
-    wins kills the piece.  Output coordinate ``pool.out`` receives
-    ``pool``'s winner, and outputs come in lexicographic order of the
-    per-pool domains (pools in list order).  Budget as in ``_walk``.
+    One ``_walk`` step per (piece, first pool not passed, the piece's
+    ``_pair_signs`` pass over the pools from there or None, output columns
+    of the pools passed) item.  A new piece makes that one pass; it settles
+    all the pools the piece has not passed (``_settled_winners``), with no
+    split, up to the next crossed pool, whose domains (``_pool_domains``,
+    given that pool's columns) open new pieces.  A piece no split cut keeps
+    its pass past the crossed pool; a pool that no coordinate wins kills the
+    piece.  Output coordinate ``pool.out`` receives ``pool``'s winner, and
+    outputs come in lexicographic order of the per-pool domains (pools in
+    list order).  Budget as in ``_walk``.
     """
     pools = layer.pools
     outs = np.array([p.out for p in pools], dtype=np.intp)
@@ -312,9 +319,10 @@ def maxpool_layer_reach(inputs, layer,
         raise LatticeError("set width does not match the maxpool input")
     _check_selection(selection, inputs)
 
-    def step(t, pi, won, cols):
-        if won is None:
-            won = _settled_winners(t.vertices, idx[pi:])
+    def step(t, pi, signs, cols):
+        if signs is None:
+            signs = _pair_signs(t.vertices, idx[pi:])
+        won = _settled_winners(*signs[1:])
         open_ = np.flatnonzero(won < 0)
         n = int(open_[0]) if open_.size else won.size
         cols[outs[pi:pi + n]] = idx[np.arange(pi, pi + n), won[:n]]
@@ -323,9 +331,11 @@ def maxpool_layer_reach(inputs, layer,
         if won[n] == -2:
             return None, ()
         pool = pools[pi + n]
-        return None, [(piece, pi + n + 1, won[n + 1:] if piece is t else None,
+        rest = [a[:, n + 1:] for a in signs]
+        return None, [(piece, pi + n + 1, rest if piece is t else None,
                        np.where(slots == pool.out, pool.dims[k], cols))
-                      for piece, k in _pool_domains(t, pool, selection, stats)]
+                      for piece, k in _pool_domains(t, pool, selection, stats,
+                                                    [a[:, n] for a in signs])]
 
     return _walk([(s, 0, None, np.zeros_like(slots)) for s in inputs], step,
                  stats)

@@ -32,9 +32,9 @@ class LayerDesc:
 
     A maxpool layer's pools must partition the input coordinates and write
     the outputs 0..n-1 once each.  It also carries ``pool_idx``, the
-    ``(width_out, 4)`` array whose row ``r`` is the window of the pool that
-    writes output ``r``, padded with its last coordinate; forward, gradient
-    and ``maxpool_layer_reach`` all read it.
+    ``(width_out, 4)`` array whose row ``r`` is the ``PoolSpec.window`` of
+    the pool that writes output ``r``; forward, gradient and
+    ``maxpool_layer_reach`` all read it.
     """
 
     kind: str
@@ -80,11 +80,8 @@ class LayerDesc:
                 raise ModelError("maxpool pools must partition the layer input")
             if self.width_out != len(pools):
                 raise ModelError("maxpool width_out must equal pool count")
-            # a repeat of the last coordinate ties with it and loses, so a
-            # padded entry never crosses and never wins
             idx = np.empty((len(pools), 4), dtype=np.intp)
-            idx[outs] = [p.dims + p.dims[-1:] * (4 - len(p.dims))
-                         for p in pools]
+            idx[outs] = [p.window for p in pools]
             idx.setflags(write=False)
             object.__setattr__(self, "pools", pools)
             object.__setattr__(self, "pool_idx", idx)

@@ -74,27 +74,28 @@ def test_affine_transform():
 
 def test_classify_vertices_examples():
     s = build_box_lattice([0.0, 0.0], [1.0, 1.0])
-    cls = classify_vertices(s, Hyperplane([1.0, 0.0], -2.0))
-    assert not cls.has_pos and cls.has_neg
-    assert (cls.labels == -1).all()
+    _, pos, neg = classify_vertices(s, Hyperplane([1.0, 0.0], -2.0))
+    assert not pos.any() and neg.any()
+    assert neg.all()
 
     s2 = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
-    cls2 = classify_vertices(s2, Hyperplane([1.0, 0.0], 0.0))
-    assert cls2.has_pos and cls2.has_neg
-    assert (cls2.labels == 1).sum() == 2 and (cls2.labels == -1).sum() == 2
+    _, pos2, neg2 = classify_vertices(s2, Hyperplane([1.0, 0.0], 0.0))
+    assert pos2.any() and neg2.any()
+    assert pos2.sum() == 2 and neg2.sum() == 2
 
     # zero-width box sitting on the hyperplane: everything zero
     s3 = build_box_lattice([0.0, -1.0], [0.0, 1.0])
-    cls3 = classify_vertices(s3, Hyperplane([1.0, 0.0], 0.0))
-    assert not cls3.has_pos and not cls3.has_neg
-    assert (cls3.labels == 0).all()
+    _, pos3, neg3 = classify_vertices(s3, Hyperplane([1.0, 0.0], 0.0))
+    assert not pos3.any() and not neg3.any()
+    assert not (pos3 | neg3).any()
 
 
 def test_classify_tolerance_is_relative():
     s = build_box_lattice([1e6], [2e6])
     # offset brings the value within the relative band at the low corner
-    cls = classify_vertices(s, Hyperplane([1.0], -1e6 + 1e-4))
-    assert cls.labels[list(map(tuple, s.vertices.tolist())).index((1e6,))] == 0
+    _, pos, neg = classify_vertices(s, Hyperplane([1.0], -1e6 + 1e-4))
+    low = list(map(tuple, s.vertices.tolist())).index((1e6,))
+    assert not pos[low] and not neg[low]
 
 
 def test_split_square_basic():
@@ -199,15 +200,16 @@ def test_split_new_vertex_count_matches_cut_edges(rng):
         W = rng.normal(size=(d, d)) + np.eye(d)
         s = affine_transform(s, W, rng.normal(size=d) * 0.1)
         h = Hyperplane(rng.normal(size=d), float(rng.normal() * 0.1))
-        cls = classify_vertices(s, h)
-        if not (cls.has_pos and cls.has_neg):
+        _, pos, neg = classify_vertices(s, h)
+        if not (pos.any() and neg.any()):
             continue
+        labels = pos.astype(int) - neg
         lat = s.lattice
         lo, hi = lat.dim_range(1)
         crossing = 0
         for e in range(lo, hi):
             ch = children_of(lat, e)
-            a, b = cls.labels[ch[0]], cls.labels[ch[1]]
+            a, b = labels[ch[0]], labels[ch[1]]
             if a * b < 0:
                 crossing += 1
         pos, neg = split_by_hyperplane(s, h)

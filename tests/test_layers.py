@@ -256,8 +256,7 @@ def test_pool_spec_validation():
         with pytest.raises(LatticeError, match="must be an integer"):
             PoolSpec(dims, out)
     assert PoolSpec((np.int64(1), 2.0), np.int32(0)).dims == (1, 2)
-    assert PoolSpec((3, 1, 0, 2), 0).pairs() == [(0, 1), (0, 2), (1, 2),
-                                                 (0, 3), (1, 3), (2, 3)]
+    assert PoolSpec((3, 1), 0).window == (3, 1, 1, 1)
 
 
 def test_maxpool_two_dim_toy():

@@ -192,11 +192,14 @@ def test_non_finite_set_settles_in_the_array_pass():
 def test_new_pieces_get_fresh_winners(monkeypatch):
     # both pools compare x with 0 and cross at x = 0; once the first pool
     # has split the segment there, the second is settled on each piece
-    domains, classified = [], []
+    domains, classified, passes = [], [], []
     real_domains = layers._pool_domains
     real_classify = lattice.classify_vertices
+    real_signs = layers._pair_signs
     monkeypatch.setattr(layers, "_pool_domains",
                         lambda *a: domains.append(a[1]) or real_domains(*a))
+    monkeypatch.setattr(layers, "_pair_signs",
+                        lambda *a: passes.append(1) or real_signs(*a))
     for module in (layers, lattice):  # the layer's name and the split's
         monkeypatch.setattr(module, "classify_vertices", lambda *a:
                             classified.append(1) or real_classify(*a))
@@ -209,6 +212,8 @@ def test_new_pieces_get_fresh_winners(monkeypatch):
     # only the first pool enumerates domains, and its chains cut on the
     # labels of their pair-sign pass, not on a classify call
     assert domains == [pools[0]] and classified == []
+    # one pair-sign pass per piece: the segment and its two halves
+    assert len(passes) == 3
 
 
 def test_engine_reach_takes_the_loaded_pool_index(tmp_path):

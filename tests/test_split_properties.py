@@ -239,13 +239,14 @@ def test_coordinate_cut_reads_only_its_coordinates(s, data):
     i = data.draw(st.integers(0, d - 1))
     j = data.draw(st.sampled_from([None] + [k for k in range(d) if k != i]))
     with np.errstate(invalid="ignore", over="ignore"):
-        cls = classify_vertices(s, coord_hyperplane(d, i, j))
+        _, cut_pos, cut_neg = classify_vertices(s, coord_hyperplane(d, i, j))
         diff = s.vertices[:, i] - (0.0 if j is None else s.vertices[:, j])
         if j is not None:  # the maxpool pair-sign pass labels the same cut
-            _, pos, neg = _pair_signs(s.vertices, np.array([i, j]), [(0, 1)])
-            assert np.array_equal(cls.labels, (pos.astype(np.int8) - neg)[:, 0])
+            _, pos, neg = _pair_signs(s.vertices, np.array([i, j, j, j]))
+            assert np.array_equal(cut_pos, pos[:, 0])
+            assert np.array_equal(cut_neg, neg[:, 0])
     pos, neg = sides(diff, np.abs(diff))
-    assert np.array_equal(cls.labels, pos.astype(np.int8) - neg)
+    assert np.array_equal(cut_pos, pos) and np.array_equal(cut_neg, neg)
 
 
 @PROPERTY
@@ -262,10 +263,10 @@ def test_strictly_signed_values_are_finite(s, data):
         a[0] = 1.0
     h = Hyperplane(a, data.draw(entries))
     with np.errstate(invalid="ignore", over="ignore"):
-        cls = classify_vertices(s, h)
+        vals, cut_pos, cut_neg = cls = classify_vertices(s, h)
         pos, neg = split_by_hyperplane(s, h, cls=cls)
-    assert np.isfinite(cls.values[cls.labels != 0]).all()
-    assert (pos is not None) == (cls.has_pos or not cls.has_neg)
-    assert (neg is not None) == cls.has_neg
+    assert np.isfinite(vals[cut_pos | cut_neg]).all()
+    assert (pos is not None) == (cut_pos.any() or not cut_neg.any())
+    assert (neg is not None) == cut_neg.any()
     for side in (pos, neg):
         assert side is None or np.isfinite(side.region_vertices).all()
