@@ -7,9 +7,9 @@ on the cut ``(values, pos, neg)`` their own sign pass gives, so no layer
 classifies a vertex.  A ReLU step only branches on a neuron whose
 hyperplane crosses the set.  A maxpool piece makes one pair-sign pass
 (``_pair_signs``) over the windows of the pools it has not passed; it
-settles every pool whose comparison hyperplanes it does not cross, and
-only crossed pools enumerate the linearity domains where one pool
-coordinate dominates the others, cutting on that pass's columns.  In fast
+settles every pool that one coordinate wins on every comparison, and only
+the other pools enumerate the linearity domains where one pool coordinate
+dominates the others, cutting on that pass's columns.  In fast
 mode a NeuronSelection marks the neurons treated exactly; splits on the
 rest keep a single child, so fast outputs are always faces of exact
 outputs rather than new geometry.
@@ -84,16 +84,11 @@ def _expired(stats, alive: int = 0) -> bool:
     return stats is not None and "expired" in stats
 
 
-def _pruned_empty(s: LatticeSet | None) -> bool:
-    # missing split children and those whose vertices all coincide (slivers
-    # of measure zero) are dropped; genuine point sets (top_dim 0, e.g.
-    # after projections) are kept.  Each coordinate's span is held to that
+def _pruned_empty(s: LatticeSet) -> bool:
+    # a side of a crossing split whose vertices all coincide (a sliver of
+    # measure zero) is dropped.  Each coordinate's span is held to that
     # coordinate's own zero band, so one large coordinate elsewhere cannot
     # turn a real piece into a sliver
-    if s is None or s.n_vertices == 0:
-        return True
-    if s.lattice.top_dim == 0:
-        return False
     hi, lo = s.vertices.max(axis=0), s.vertices.min(axis=0)
     wide, _ = sides(hi - lo, np.maximum(hi, -lo))  # max(hi, -lo) = max |v|
     return not wide.any()
@@ -192,6 +187,19 @@ def _pair_signs(v, windows):
     return (d, *sides(d, np.abs(d)))
 
 
+def _pair_results(pos, neg):
+    """``(winner, loser)``: the window index that wins and the one that
+    loses each ``_PAIRS`` pair, read from the ``sides`` masks ``pos`` and
+    ``neg`` of a ``_pair_signs`` pass (vertex rows first, pairs last).  A
+    pair's lower coordinate wins unless a vertex is negative; on a pair the
+    piece crosses, both are -1."""
+    has_pos, has_neg = pos.any(axis=0), neg.any(axis=0)
+    lo, hi = zip(*_PAIRS)
+    crossed = has_pos & has_neg
+    return (np.where(crossed, -1, np.where(has_neg, hi, lo)),
+            np.where(crossed, -1, np.where(has_neg, lo, hi)))
+
+
 def _domain_chain(s, pool, k, selection, stats, signs=None):
     """Clip ``s`` to the domain where pool coordinate ``k`` is the maximum.
 
@@ -239,12 +247,15 @@ def _domain_chain(s, pool, k, selection, stats, signs=None):
 def _pool_domains(s, pool, selection, stats, signs=None):
     """All nonempty (piece, winner) linearity domains of one pool over ``s``.
     Its chains share one ``_pair_signs`` pass on ``s`` over ``pool.window``:
-    ``signs``, the pool's columns of the caller's pass, or else a new one."""
-    doms = []
+    ``signs``, the pool's columns of the caller's pass, or else a new one.
+    No chain runs for a coordinate that loses a pair ``s`` does not cross
+    (``_pair_results``), since its domain is empty."""
     if signs is None:
         signs = _pair_signs(s.vertices, np.array(pool.window))
+    lost, doms = _pair_results(*signs[1:])[1].tolist(), []
     for k in range(len(pool.dims)):
-        piece = _domain_chain(s, pool, k, selection, stats, signs)
+        piece = None if k in lost else _domain_chain(s, pool, k, selection,
+                                                     stats, signs)
         if piece is not None:
             doms.append((piece, k))
     if not doms and selection is not None:
@@ -280,18 +291,12 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
 
 def _settled_winners(pos, neg):
     """Each pool's winner on a piece, read from the ``sides`` masks ``pos``
-    and ``neg`` of its ``_pair_signs`` pass (vertex rows, pools, pairs).
-
-    A pool whose comparisons the piece does not cross is settled on those
-    masks (a pair's lower coordinate wins unless a vertex is negative): its
-    winner is the window index that wins all three of its pairs, or -2 if
-    none does.  A crossed pool gets -1.
-    """
-    has_pos, has_neg = pos.any(axis=0), neg.any(axis=0)
-    lo, hi = zip(*_PAIRS)
-    wins = (np.where(has_neg, hi, lo)[..., None] == np.arange(4)).sum(axis=1)
-    return np.where((has_pos & has_neg).any(axis=1), -1,
-                    np.where(wins.max(axis=1) == 3, wins.argmax(axis=1), -2))
+    and ``neg`` of its ``_pair_signs`` pass (vertex rows, pools, pairs): the
+    window index that wins all three of its pairs (``_pair_results``), even
+    where the piece crosses the other coordinates' comparisons; else -1 (a
+    crossed pool, or a tolerance cycle that no coordinate wins)."""
+    wins = (_pair_results(pos, neg)[0][..., None] == np.arange(4)).sum(axis=-2)
+    return np.where(wins.max(axis=-1) == 3, wins.argmax(axis=-1), -1)
 
 
 def maxpool_layer_reach(inputs, layer,
@@ -299,16 +304,15 @@ def maxpool_layer_reach(inputs, layer,
                         stats: dict | None = None):
     """Propagate sets through a maxpool ``LayerDesc`` (checked when built).
 
-    One ``_walk`` step per (piece, first pool not passed, the piece's
-    ``_pair_signs`` pass over the pools from there or None, output columns
-    of the pools passed) item.  A new piece makes that one pass; it settles
-    all the pools the piece has not passed (``_settled_winners``), with no
-    split, up to the next crossed pool, whose domains (``_pool_domains``,
-    given that pool's columns) open new pieces.  A piece no split cut keeps
-    its pass past the crossed pool; a pool that no coordinate wins kills the
-    piece.  Output coordinate ``pool.out`` receives ``pool``'s winner, and
-    outputs come in lexicographic order of the per-pool domains (pools in
-    list order).  Budget as in ``_walk``.
+    One ``_walk`` step per (piece, first pool not passed, output columns of
+    the pools passed) item.  Each piece makes one ``_pair_signs`` pass over
+    the pools it has not passed; it settles every pool one coordinate wins
+    (``_settled_winners``), with no split, up to the first pool it leaves
+    undecided, whose domains (``_pool_domains``, given that pool's columns)
+    open new pieces.  A pool in a tolerance cycle has no domain, so it kills
+    the piece.  Output coordinate ``pool.out`` receives ``pool``'s winner,
+    and outputs come in lexicographic order of the per-pool domains (pools
+    in list order).  Budget as in ``_walk``.
     """
     pools = layer.pools
     outs = np.array([p.out for p in pools], dtype=np.intp)
@@ -319,23 +323,18 @@ def maxpool_layer_reach(inputs, layer,
         raise LatticeError("set width does not match the maxpool input")
     _check_selection(selection, inputs)
 
-    def step(t, pi, signs, cols):
-        if signs is None:
-            signs = _pair_signs(t.vertices, idx[pi:])
+    def step(t, pi, cols):
+        signs = _pair_signs(t.vertices, idx[pi:])
         won = _settled_winners(*signs[1:])
         open_ = np.flatnonzero(won < 0)
         n = int(open_[0]) if open_.size else won.size
         cols[outs[pi:pi + n]] = idx[np.arange(pi, pi + n), won[:n]]
         if n == won.size:
             return eliminate_dims(t, cols), ()
-        if won[n] == -2:
-            return None, ()
         pool = pools[pi + n]
-        rest = [a[:, n + 1:] for a in signs]
-        return None, [(piece, pi + n + 1, rest if piece is t else None,
+        return None, [(piece, pi + n + 1,
                        np.where(slots == pool.out, pool.dims[k], cols))
                       for piece, k in _pool_domains(t, pool, selection, stats,
                                                     [a[:, n] for a in signs])]
 
-    return _walk([(s, 0, None, np.zeros_like(slots)) for s in inputs], step,
-                 stats)
+    return _walk([(s, 0, np.zeros_like(slots)) for s in inputs], step, stats)

@@ -3,12 +3,15 @@
 import csv
 import itertools
 import json
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import latreach.cli
 import latreach.lattice
 from latreach import (InputSpec, LatticeSet, LayerDesc, ModelError, Network,
                       ReachConfig, ReachResult, build_box_lattice, reach,
@@ -227,6 +230,25 @@ def test_falsify_budget_exhausted_unknown(tmp_path, capsys):
     v = json.loads(stdout)
     assert (code, v["status"]) == (2, "UNKNOWN")
     assert v["final_margin"] > 0
+
+
+@pytest.mark.parametrize("ticks, tried", [([0.0, 11.0], 0),
+                                          ([0.0, 0.0, 0.0, 11.0], 1)],
+                         ids=["before_first_pixel", "after_a_pixel"])
+def test_falsify_timeout_exits_3(tmp_path, capsys, monkeypatch, ticks, tried):
+    # falsify reads the clock for its deadline, before each pixel, for the
+    # reach's budget and after each pixel; this clock passes the 10 s
+    # deadline at its last tick and stays there
+    clock = itertools.chain(ticks, itertools.repeat(ticks[-1]))
+    monkeypatch.setattr(latreach.cli, "time", SimpleNamespace(
+        monotonic=lambda: next(clock), perf_counter=time.perf_counter))
+    model = model_two_pixel_race(tmp_path)
+    img = baseline_csv(tmp_path, [0.9, 0.5, 0.5, 0.2], "img.csv")
+    code, stdout, _ = run(["falsify", "--model", model, "--image", img,
+                           "--epsilon", "0.05", "--max-pixels", "4",
+                           "--timeout", "10"], capsys)
+    v = json.loads(stdout)
+    assert (code, v["status"], v["pixels_tried"]) == (3, "TIMEOUT", tried)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -517,19 +539,25 @@ def test_dump_reader_window_sizes(tmp_path, capsys, monkeypatch, chunk):
     assert list(iter_set_records(out)) == sets
 
 
-@pytest.mark.parametrize("cut", ["after_set_0", "half", "last_byte"])
+@pytest.mark.parametrize("cut", ["after_set_0", "half", "last_byte",
+                                 "trailing", "no_sets"])
 def test_cut_dump_exits_4(tmp_path, capsys, cut):
     out = reach_quadrants(tmp_path, capsys)
     text = out.read_text()
-    end = {"after_set_0": text.index('}, {"faces"') + 1,
-           "half": len(text) // 2, "last_byte": len(text) - 1}[cut]
-    out.write_text(text[:end])
+    doc = json.loads(text)
+    del doc["sets"]
+    text = {"after_set_0": text[:text.index('}, {"faces"') + 1],
+            "half": text[:len(text) // 2], "last_byte": text[:-1],
+            "trailing": text + ' {"sets": []}',  # data after the closing brace
+            "no_sets": json.dumps(doc)}[cut]
+    out.write_text(text)
+    want = "'sets'" if cut == "no_sets" else "line 1 column"
     code, _, err = run(["backtrack", "--result", str(out), "--set-id", "0",
                         "--constraint", "1-0>=0"], capsys)
-    assert code == 4 and "line 1 column" in err
+    assert code == 4 and want in err
     code, _, err = run(["project", "--result", str(out), "--axes", "0,1",
                         "--out", str(tmp_path / "p.csv")], capsys)
-    assert code == 4 and "line 1 column" in err
+    assert code == 4 and want in err
 
 
 def test_empty_dump_set_id_out_of_range(tmp_path, capsys):

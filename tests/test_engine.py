@@ -86,6 +86,9 @@ def test_reach_point_input():
     assert res.set_count == 1
     want = batch_forward(net, spec.baseline)[0]
     assert np.allclose(res.sets[0].vertices, want, atol=1e-12)
+    # a zero-width box has nothing to bisect: one partition, one set
+    res = reach(net, spec, ReachConfig(partitions=3))
+    assert (res.partitions_done, res.set_count, res.truncated) == (1, 1, False)
 
 
 def test_reach_width_mismatch():

@@ -296,6 +296,52 @@ def test_validator_catches_corruption():
         validate_set(LatticeSet(lat, s.vertices[:2], s.region_vertices[:2]))
 
 
+def replaced(a, i, x):
+    a = np.array(a)
+    a[i] = x
+    return a
+
+
+# the unit square: vertices at positions 0-3, edges 4-7 (edge 4 holds child
+# slots 0 and 1), the top face 8 (slots 8-11); ids 0-8, next_id 9
+SQUARE = build_box_lattice([0.0, 0.0], [1.0, 1.0])
+_ptr, _kids = SQUARE.lattice.child_ptr, SQUARE.lattice.child_idx
+
+
+# test_validator_catches_corruption covers duplicate ids and skipped
+# dimensions
+@pytest.mark.parametrize("message, edits", [
+    ("not sorted by ascending dimension", {"dims": replaced(
+        SQUARE.lattice.dims, 4, 2)}),
+    ("vertex positions contain non-vertex faces", {"dims": replaced(
+        SQUARE.lattice.dims, 0, -1)}),
+    ("top face is not unique", {"dims": replaced(SQUARE.lattice.dims, 7, 2)}),
+    ("next_id is not past every face id", {"next_id": 8}),
+    ("a 0-face has children", {"child_ptr": replaced(_ptr, 4, 2)}),
+    ("fewer than 2 children", {"child_ptr": np.r_[_ptr[:5], _ptr[5:] - 1],
+                               "child_idx": _kids[1:]}),
+    ("a child does not precede its parent",
+     {"child_idx": replaced(_kids, 0, 8)}),
+    ("duplicate child within a face", {"child_idx": replaced(_kids, 1, 0)}),
+    ("unreachable from the top face", {"child_ptr": replaced(_ptr, 9, 11),
+                                       "child_idx": _kids[:11]}),
+    ("region matrix rows", {"region": SQUARE.region_vertices[:2]}),
+    ("non-finite", {"vertices": replaced(SQUARE.vertices, (0, 0), np.inf)}),
+    ("non-finite", {"region": replaced(SQUARE.region_vertices, (3, 1),
+                                       np.nan)})])
+def test_validator_names_each_defect(message, edits):
+    lat = SQUARE.lattice
+    parts = {"ids": lat.ids, "dims": lat.dims, "child_ptr": lat.child_ptr,
+             "child_idx": lat.child_idx, "next_id": lat.next_id,
+             "vertices": SQUARE.vertices, "region": SQUARE.region_vertices}
+    parts.update(edits)
+    bad = LatticeSet(FaceLattice(*(parts[k] for k in (
+        "ids", "dims", "child_ptr", "child_idx", "next_id"))),
+        parts["vertices"], parts["region"])
+    with pytest.raises(LatticeError, match=message):
+        validate_set(bad)
+
+
 def test_hyperplane_validation():
     with pytest.raises(LatticeError):
         Hyperplane([0.0, 0.0], 1.0)

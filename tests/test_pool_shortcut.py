@@ -7,12 +7,13 @@ same order, with the same lattices, vertices, regions and split count.
 """
 
 import numpy as np
+import pytest
 
 from latreach import (LatticeSet, PoolSpec, NeuronSelection, ZERO_TOL,
                       LayerDesc, Network, InputSpec, ReachConfig,
                       build_box_lattice, affine_transform, eliminate_dims,
-                      maxpool_layer_reach, forward, gradient, load_model,
-                      reach)
+                      maxpool_layer_reach, maxpool_pool_reach, forward,
+                      gradient, load_model, reach)
 from latreach import lattice, layers
 from latreach.layers import _pool_domains
 from conftest import maxpool_layer, write_conv_pool_model
@@ -155,6 +156,32 @@ def test_settled_pools_match_per_pool_loop():
     # and wide layers that jump to a late crossed pool, then die after it
     # or reach the end
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("w, b, n_sets, splits", [
+    # x3 = 5 wins every comparison, though x0, x1 and x2 cross each other
+    ((1, -1, 0, 0), (0, 0, 0, 5), 1, 0),
+    # x0 and x1 cross each other but lose to x2 and x3 on the whole segment
+    ((1, -1, -1, 1), (0, 0, 5, 5), 2, 2)], ids=["settled", "two_domains"])
+def test_decided_pools_make_no_dead_end_splits(w, b, n_sets, splits):
+    W, b = np.array(w, dtype=float)[:, None], np.array(b, dtype=float)
+    s = affine_transform(build_box_lattice([-1.0], [1.0]), W, b)
+    pools = [PoolSpec((0, 1, 2, 3), 0)]
+    runs = []
+    for reach_pool in (
+            lambda st: maxpool_layer_reach([s], maxpool_layer(pools),
+                                           stats=st),
+            lambda st: maxpool_pool_reach([s], pools[0], stats=st),
+            lambda st: reference_maxpool_layer([s], pools, stats=st)):
+        stats = {}
+        runs.append(reach_pool(stats))
+        assert (len(runs[-1]), stats.get("splits", 0)) == (n_sets, splits)
+        assert_same_sets(runs[-1], runs[0])
+    for t in runs[0]:  # each output is the pool's maximum on its piece
+        want = (t.region_vertices @ W.T + b).max(axis=1)
+        assert np.allclose(t.vertices[:, 0], want, atol=1e-12)
+    if n_sets == 1:  # the input set itself, with winner 3
+        assert_same_sets(runs[0], [eliminate_dims(s, [3])])
 
 
 def test_tolerance_cycle_kills_the_set():
