@@ -1,9 +1,10 @@
 """Command-line front end: verdicts, falsification, and plot-data export.
 
-Margins between logits decide everything here.  Since each output set is a
-polytope and every margin is linear over it, minima are attained at
-vertices, so vertex checks are exact for exact-mode reach results.  Fast
-mode under-approximates and can therefore prove UNSAFE but never SAFE.
+Margins between logits pick the inputs to check; a forward pass of each
+decides.  Since each output set is a polytope and every margin is linear
+over it, minima are attained at vertices, so vertex checks are exact for
+exact-mode reach results.  Fast mode under-approximates and can therefore
+prove UNSAFE but never SAFE.
 
 Exit codes: 0 SAFE, 1 UNSAFE, 2 UNKNOWN, 3 TIMEOUT, 4 error.
 """
@@ -65,16 +66,25 @@ def _margins(V: np.ndarray, c: int):
     return diff, sides(diff, np.abs(vc) + np.abs(vo))
 
 
+def _witness_class(net: Network, x, c: int):
+    """``forward``'s class for ``x`` if ``x`` is a witness against class
+    ``c`` (another argmax, and only finite logits), else None."""
+    y = forward(net, x)
+    k = int(np.argmax(y))
+    return k if k != c and np.isfinite(y).all() else None
+
+
 def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
            result=None) -> Verdict:
     """Check that the whole input box keeps the baseline's class.
 
-    Exact non-truncated runs are decisive (SAFE or UNSAFE), unless an
-    output or region vertex is not finite (overflowed arithmetic proves
-    nothing): then no violation gives UNKNOWN.  A touched but never crossed
-    boundary is SAFE with ``boundary_contact`` set.  Fast mode without a
-    violation is UNKNOWN; truncation without a violation is TIMEOUT.  Every
-    UNSAFE witness is re-checked with a forward pass.
+    The margin band only picks candidates: every output vertex with a
+    margin not strictly above it (NaN margins aside) is re-checked by a
+    forward pass of its region vertex, and that pass alone decides UNSAFE
+    (``_witness_class``).  Without a witness, an exact non-truncated run
+    whose output vertices are all finite is SAFE, with ``boundary_contact``
+    set when some candidate was re-checked; an overflowed exact run is
+    UNKNOWN, and so is fast mode.  Truncation without a witness is TIMEOUT.
     ``result`` reuses an existing reach run for the same net/spec/cfg.
     """
     if len(net.labels) < 2:
@@ -82,22 +92,18 @@ def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
     c = int(np.argmax(forward(net, spec.baseline)))
     res = reach(net, spec, cfg) if result is None else result
 
-    contact = False
     candidates = []
     for s in res.sets:
-        diff, (above, below) = _margins(s.vertices, c)
-        if not (above | below | np.isnan(diff)).all():  # in the band
-            contact = True
-        viol = below.any(axis=1)
-        for v in np.nonzero(viol)[0]:
+        diff, (above, _) = _margins(s.vertices, c)
+        # a vertex with some margin below or inside the band (NaN: neither)
+        for v in np.nonzero(~(above | np.isnan(diff)).all(axis=1))[0]:
             candidates.append((float(diff[v].min()), s.region_vertices[v]))
 
     witnesses = []
     candidates.sort(key=lambda t: t[0])
     for _, x in candidates:
-        y = forward(net, x)
-        k = int(np.argmax(y))
-        if k != c:
+        k = _witness_class(net, x, c)
+        if k is not None:
             witnesses.append((x, k))
             if len(witnesses) >= MAX_WITNESSES:
                 break
@@ -108,17 +114,13 @@ def verify(net: Network, spec: InputSpec, cfg: ReachConfig,
     elif res.truncated:
         status = "TIMEOUT"
     elif cfg.mode == "exact" and all(np.isfinite(s.vertices).all()
-                                     and np.isfinite(s.region_vertices).all()
                                      for s in res.sets):
         status = "SAFE"
-        if candidates:
-            # strictly negative vertex margins that a forward re-check could
-            # not reproduce: numerically on the boundary
-            contact = True
     else:
         status = "UNKNOWN"
     return Verdict(status, witnesses, res.set_count, res.wall_time,
-                   boundary_contact=contact, info=info)
+                   boundary_contact=status == "SAFE" and bool(candidates),
+                   info=info)
 
 
 def _pixel_groups(width: int, shape=None) -> np.ndarray:
@@ -169,9 +171,9 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
         if time.monotonic() > deadline:
             status = "TIMEOUT"
             break
-        # the loop stops at the first argmax != c, so c is still the class
-        # at cur: this is the gradient select_neurons would compute for the
-        # reach below, and the reach takes it instead of a second pass
+        # c is the class at cur unless its logits overflowed (the loop
+        # stops at the first witness): the gradient select_neurons would
+        # compute for the reach below, which takes it instead of a second pass
         grads = gradient(net, cur, c)
         G = grads.wrt_input[groups]
         scores = np.sqrt((G[:, None, :] @ G[:, :, None]).ravel())
@@ -197,9 +199,8 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
                           "time_s": time.perf_counter() - step_t,
                           "margin": margin})
 
-        y = forward(net, cur)
-        k = int(np.argmax(y))
-        if k != c:
+        k = _witness_class(net, cur, c)
+        if k is not None:
             witnesses.append((cur, k))
             status = "UNSAFE"
             break

@@ -318,7 +318,7 @@ def iter_set_records(path):
     dropped, so memory holds one chunk and one record, never the whole
     document.  Keys may come in any order and with any whitespace.  Any
     malformed JSON raises the ``json.JSONDecodeError`` that ``json.loads``
-    gives for the file; a document without ``sets`` raises KeyError.
+    gives for the file; a document without ``sets`` raises ValueError.
     """
     found = False
     with open(path) as f:
@@ -344,7 +344,7 @@ def iter_set_records(path):
             json.loads(f.read())  # raises with json.loads' message, if any
             raise
     if not found:
-        raise KeyError("sets")
+        raise ValueError("result dump has no 'sets' array")
 
 
 def sets_from_dict(doc: dict) -> list:

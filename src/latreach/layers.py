@@ -84,16 +84,6 @@ def _expired(stats, alive: int = 0) -> bool:
     return stats is not None and "expired" in stats
 
 
-def _pruned_empty(s: LatticeSet) -> bool:
-    # a side of a crossing split whose vertices all coincide (a sliver of
-    # measure zero) is dropped.  Each coordinate's span is held to that
-    # coordinate's own zero band, so one large coordinate elsewhere cannot
-    # turn a real piece into a sliver
-    hi, lo = s.vertices.max(axis=0), s.vertices.min(axis=0)
-    wide, _ = sides(hi - lo, np.maximum(hi, -lo))  # max(hi, -lo) = max |v|
-    return not wide.any()
-
-
 def _walk(items, step, stats):
     """Depth first over ``items`` in input order, on one stack: ``step(*item)``
     returns a finished set (or None) and the items that set opens, which run
@@ -122,12 +112,12 @@ def _check_selection(selection, inputs):
 def _survivors(pos, neg, sel_pos, sel_neg):
     """``(keep_pos, keep_neg)``: a split keeps each side whose winning
     coordinate is selected (exact mode: both); if neither is, only the child
-    with more vertices (tie, or both missing: the positive child).
+    with more vertices (tie: the positive child).  Both sides are read only
+    then, so only then must both be built.
     """
     if sel_pos or sel_neg:
         return sel_pos, sel_neg
-    pos_wins = (pos.n_vertices if pos is not None else -1) >= \
-               (neg.n_vertices if neg is not None else -1)
+    pos_wins = pos.n_vertices >= neg.n_vertices
     return pos_wins, not pos_wins
 
 
@@ -139,8 +129,10 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     projects the coordinates that never go positive to zero in one batch,
     and its labels split the set on the lowest crossing neuron (no second
     classify).  The children, positive first, carry the other crossing
-    neurons on.  With a ``selection``, splits on unselected neurons keep
-    one child (``_survivors``).  Budget as in ``_walk``.
+    neurons on.  Each child has a vertex strictly off the cut, so none is
+    dropped as flat: exact mode keeps both, and with a ``selection`` splits
+    on unselected neurons keep one (``_survivors``).  Budget as in
+    ``_walk``.
     """
     _check_selection(selection, inputs)
 
@@ -162,13 +154,11 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
         pos_s, neg_s = split_by_hyperplane(
             s, None, cls=(sub[:, j], pos[:, j], neg[:, j]))
         _count_split(stats)
-        pos_s, neg_s = (None if _pruned_empty(c) else c for c in (pos_s, neg_s))
         sel_k = selection is None or bool(selection.selected[k])
         # the next sign pass zeroes k on the negative child and drops it on
         # the positive one
         return None, [(c, news) for c, kept in zip(
-            (pos_s, neg_s), _survivors(pos_s, neg_s, sel_k, sel_k))
-            if kept and c is not None]
+            (pos_s, neg_s), _survivors(pos_s, neg_s, sel_k, sel_k)) if kept]
 
     return _walk([(s, np.arange(s.ambient_dim)) for s in inputs], step, stats)
 
@@ -239,7 +229,7 @@ def _domain_chain(s, pool, k, selection, stats, signs=None):
         _count_split(stats)
         t, signs = pos if want_pos else neg, None
         if not _survivors(pos, neg, sel_i, sel_j)[not want_pos] or \
-                _pruned_empty(t) or _expired(stats):
+                _expired(stats):
             return None
     return t
 

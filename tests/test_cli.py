@@ -176,6 +176,37 @@ def test_verify_overflow_is_never_safe(tmp_path, capsys):
     assert (code, json.loads(stdout)["status"]) == (1, "UNSAFE")
 
 
+@pytest.mark.parametrize("B", [1e3, 1e6, 1e9])
+def test_verify_rechecks_margins_inside_the_band(tmp_path, capsys, B):
+    # logits B + 0.01 x and B + 0.005: class 1 at the baseline, class 0 at
+    # x = 1, by a margin of 0.005 that lies inside the band when B is large
+    doc = {"input_width": 1, "labels": ["a", "b"],
+           "layers": [{"kind": "affine", "W": [[0.01], [0]],
+                       "b": [B, B + 0.005]}]}
+    model = write(tmp_path / "band.json", json.dumps(doc))
+    x = baseline_csv(tmp_path, [0.0])
+    code, stdout, _ = run(["verify", "--model", model, "--input", x,
+                           "--pixels", "0", "--epsilon", "1"], capsys)
+    v = json.loads(stdout)
+    assert (code, v["status"]) == (1, "UNSAFE")
+    assert "boundary_contact" not in v
+
+
+def test_falsify_overflowed_logits_are_no_witness(tmp_path, capsys):
+    # the second pixel reaches (0, -1), where the 1e200 net's logits are
+    # (1e200, inf): an argmax that only overflow moved off the baseline's
+    # class 0, as in test_verify_overflow_is_never_safe
+    img = baseline_csv(tmp_path, [0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, stdout, _ = run(["falsify", "--model",
+                               model_overflow(tmp_path, 1e200), "--image",
+                               img, "--epsilon", "1", "--relaxation", "1",
+                               "--max-pixels", "2"], capsys)
+    v = json.loads(stdout)
+    assert (code, v["status"], v["witnesses"]) == (2, "UNKNOWN", [])
+    assert v["final_margin"] == -np.inf
+
+
 def test_verify_fast_never_safe(tmp_path, capsys):
     model = model_identity2(tmp_path)
     x = baseline_csv(tmp_path, [0.6, 0.3])
@@ -551,7 +582,8 @@ def test_cut_dump_exits_4(tmp_path, capsys, cut):
             "trailing": text + ' {"sets": []}',  # data after the closing brace
             "no_sets": json.dumps(doc)}[cut]
     out.write_text(text)
-    want = "'sets'" if cut == "no_sets" else "line 1 column"
+    want = ("error: result dump has no 'sets' array" if cut == "no_sets"
+            else "line 1 column")
     code, _, err = run(["backtrack", "--result", str(out), "--set-id", "0",
                         "--constraint", "1-0>=0"], capsys)
     assert code == 4 and want in err

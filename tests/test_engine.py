@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from latreach import (Hyperplane, InputSpec, LayerDesc, Network, ReachConfig,
-                      ModelError, reach, backtrack, select_neurons,
-                      forward, result_to_dict, sets_from_dict, validate_set,
-                      verify)
+from latreach import (Hyperplane, InputSpec, LayerDesc, Network, PoolSpec,
+                      ReachConfig, ModelError, reach, backtrack,
+                      select_neurons, forward, result_to_dict, sets_from_dict,
+                      validate_set, verify)
 from latreach.engine import DEFAULT_MAX_SETS
 from conftest import (batch_forward, check_soundness, completeness_error,
                       dedup_vertex_set, in_union, random_toy_net)
@@ -395,3 +395,22 @@ def test_two_neuron_sliver_repro_keeps_both_pieces():
     res = reach(net, InputSpec([0.0], (0,), 1.0), ReachConfig())
     assert (res.set_count, res.truncated) == (2, False)
     assert sorted(s.vertices[:, 0].max() for s in res.sets) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("B", [1e3, 1e6, 1e9])
+def test_crossed_pool_on_large_offset_keeps_both_pieces(B):
+    # the pool's coordinates are B +- 0.01 x, B, B: the cut x_0 - x_1
+    # crosses the segment even where B dwarfs the 0.01 x spread, and both
+    # pieces hold inputs of class 0 (x = +-1) while the baseline is class 1
+    net = Network((LayerDesc("affine", 1, 4, [[0.01], [-0.01], [0.0], [0.0]],
+                             [B] * 4),
+                   LayerDesc("maxpool", 4, 1,
+                             pools=(PoolSpec((0, 1, 2, 3), 0),)),
+                   LayerDesc("affine", 1, 2, [[1.0], [0.0]],
+                             [-B - 0.005, 0.0])), 1, ("a", "b"))
+    spec = InputSpec([0.0], (0,), 1.0)
+    res = reach(net, spec, ReachConfig())
+    assert (res.set_count, res.truncated) == (2, False)
+    v = verify(net, spec, ReachConfig())
+    assert v.status == "UNSAFE"
+    assert int(np.argmax(forward(net, v.witnesses[0][0]))) == 0
