@@ -55,7 +55,9 @@ class Verdict:
         if self.boundary_contact:
             doc["boundary_contact"] = True
         doc.update(self.info)
-        return json.dumps(doc)
+        # strict JSON: a float that is not finite prints as null
+        return json.dumps(json.loads(json.dumps(doc),
+                                     parse_constant=lambda _: None))
 
 
 def _margins(V: np.ndarray, c: int):
@@ -142,7 +144,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
     """Pixel-by-pixel search for an adversarial input near ``image``.
 
     Each iteration targets the unused pixel with the largest gradient norm,
-    runs a fast reach over it, adopts the output vertex minimizing the
+    runs a fast reach over it, adopts the output vertex of least finite
     margin (the current image is itself a candidate, so the margin never
     increases), and stops on a re-verified misclassification, the pixel
     budget, or the timeout.  Bad budgets raise ValueError before any work.
@@ -191,6 +193,7 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
         for s in res.sets:
             diff, _ = _margins(s.vertices, c)
             m = diff.min(axis=1)
+            m[~np.isfinite(m)] = np.inf  # an overflowed margin is no lead
             v = int(np.argmin(m))
             if m[v] < best[0]:
                 best = (float(m[v]), s.region_vertices[v])

@@ -15,6 +15,7 @@ not yet started are cancelled, and the result is flagged truncated.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 import time
@@ -38,8 +39,8 @@ DEFAULT_MAX_SETS = 5_000_000
 class ReachConfig:
     """Analysis knobs.
 
-    ``relaxation`` is ignored in exact mode.  ``workers`` > 1 distributes
-    partitions over a process pool; 1 keeps everything in-process.
+    ``relaxation`` is ignored in exact mode.  ``workers`` > 1 runs
+    partitions on a process pool, at most one worker per partition.
     """
 
     mode: str = "exact"
@@ -104,24 +105,23 @@ def select_neurons(net: Network, spec: InputSpec, delta: float,
 def _partition_box(lo, hi, k):
     """Split [lo, hi] into k leaves by bisecting the widest coordinate.
 
-    Always bisects the currently widest leaf; stops early when every leaf
-    has zero width.  Leaves come back in spatial (left-to-right) order.
+    Always bisects the widest leaf, the leftmost of equally wide ones (one
+    heap keyed by (-width, left/right path from the root)); stops early
+    when every leaf has zero width.  Leaves come back in spatial order.
     """
-    leaves = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))]
-    while len(leaves) < k:
-        widths = [float((h - l).max()) for l, h in leaves]
-        i = int(np.argmax(widths))
-        if widths[i] <= 0.0:
-            break
-        l, h = leaves[i]
+    def leaf(path, l, h):
+        return -float((h - l).max()), path, l, h
+
+    heap = [leaf((), np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))]
+    while len(heap) < k and heap[0][0] < 0.0:
+        _, path, l, h = heapq.heappop(heap)
         axis = int(np.argmax(h - l))
         mid = 0.5 * (l[axis] + h[axis])
-        h1 = h.copy()
-        h1[axis] = mid
-        l2 = l.copy()
-        l2[axis] = mid
-        leaves[i:i + 1] = [(l, h1), (l2, h)]
-    return leaves
+        h1, l2 = h.copy(), l.copy()
+        h1[axis] = l2[axis] = mid
+        heapq.heappush(heap, leaf(path + (0,), l, h1))
+        heapq.heappush(heap, leaf(path + (1,), l2, h))
+    return [(l, h) for _, _, l, h in sorted(heap, key=lambda x: x[1])]
 
 
 def _propagate_partition(net, spec, selections, deadline, max_sets, box):
@@ -174,7 +174,8 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig,
     counters = {"splits": 0, "sets_per_layer": [0] * len(net.layers)}
     outs: list = []
     done = 0
-    pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    workers = min(cfg.workers, len(parts))
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         for sets, stats in (pool.map if pool else map)(run, parts):
             counters["splits"] += stats["splits"]

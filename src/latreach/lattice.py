@@ -289,16 +289,14 @@ def classify_vertices(s: LatticeSet, h: Hyperplane):
     return (vals, *sides(vals, np.abs(av) + abs(h.offset)))
 
 
-def split_by_hyperplane(s: LatticeSet, h: Hyperplane | None,
-                        keep=(True, True), cls=None):
+def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
     """Split ``s`` into its closed positive and negative restrictions.
 
     Returns ``(positive, negative)``, building only the sides that ``keep``
     (a ``(positive, negative)`` pair of flags) asks for; a side not asked
-    for comes back as None.  ``cls`` is the caller's cut ``(values, pos,
-    neg)`` of ``s``, as ``classify_vertices(s, h)`` or a layer's own sign
-    pass gives it, reused instead of classifying; ``h`` is read only to
-    classify, so it may be None when ``cls`` is given.  A side without
+    for comes back as None.  ``cut`` is a ``Hyperplane``, classified here
+    by ``classify_vertices``, or the cut ``(values, pos, neg)`` of ``s``
+    that such a call or a layer's own sign pass already gave.  A side without
     strictly-signed vertices comes back as None and the whole set is
     returned on the other side (an all-zero set counts as positive).
     When both sides are hit, the section faces on the hyperplane are found
@@ -312,7 +310,8 @@ def split_by_hyperplane(s: LatticeSet, h: Hyperplane | None,
     dimension level, all crossing edges are interpolated together, and the
     children of every new section face are gathered in one flattened pass.
     """
-    vals, pos, neg = classify_vertices(s, h) if cls is None else cls
+    vals, pos, neg = (classify_vertices(s, cut) if isinstance(cut, Hyperplane)
+                      else cut)
     if not (pos.any() and neg.any()):
         pos, neg = (None, s) if neg.any() else (s, None)
         return pos if keep[0] else None, neg if keep[1] else None

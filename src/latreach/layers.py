@@ -3,16 +3,17 @@
 Each function maps a list of LatticeSets to the list of their images under
 one layer.  ReLU and maxpool are each one step on one set, run depth first
 by one walker (``_walk``) that checks the budget at every pop.  Both split
-on the cut ``(values, pos, neg)`` their own sign pass gives, so no layer
-classifies a vertex.  A ReLU step only branches on a neuron whose
-hyperplane crosses the set.  A maxpool piece makes one pair-sign pass
-(``_pair_signs``) over the windows of the pools it has not passed; it
-settles every pool that one coordinate wins on every comparison, and only
-the other pools enumerate the linearity domains where one pool coordinate
-dominates the others, cutting on that pass's columns.  In fast
-mode a NeuronSelection marks the neurons treated exactly; splits on the
-rest keep a single child, so fast outputs are always faces of exact
-outputs rather than new geometry.
+through one helper (``_split``) on the cut ``(values, pos, neg)`` their own
+sign pass gives, so no layer classifies a vertex; ``_split`` counts the
+splits and applies the fast-mode survivor rule.  A ReLU step only branches
+on a neuron whose hyperplane crosses the set.  A maxpool piece makes one
+pair-sign pass (``_pair_signs``) over the windows of the pools it has not
+passed; it settles every pool that one coordinate wins on every
+comparison, and only the other pools enumerate the linearity domains where
+one pool coordinate dominates the others, cutting on that pass's columns.
+In fast mode a NeuronSelection marks the neurons treated exactly; a split
+on the rest keeps a single child, so fast outputs are always faces of
+exact outputs rather than new geometry.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ class NeuronSelection:
         return self.selected.size
 
 
-def _count_split(stats):
-    if stats is not None:
-        stats["splits"] = stats.get("splits", 0) + 1
-
-
 def _expired(stats, alive: int = 0) -> bool:
     """The one budget rule: ``stats`` expires for good once its ``deadline``
     has passed or more than its ``max_sets`` sets are ``alive``."""
@@ -109,16 +105,26 @@ def _check_selection(selection, inputs):
         raise LatticeError("selection width does not match layer input")
 
 
-def _survivors(pos, neg, sel_pos, sel_neg):
-    """``(keep_pos, keep_neg)``: a split keeps each side whose winning
-    coordinate is selected (exact mode: both); if neither is, only the child
-    with more vertices (tie: the positive child).  Both sides are read only
-    then, so only then must both be built.
-    """
-    if sel_pos or sel_neg:
-        return sel_pos, sel_neg
-    pos_wins = pos.n_vertices >= neg.n_vertices
-    return pos_wins, not pos_wins
+def _split(s, cut, coords, wanted, selection, stats):
+    """The one way a layer splits ``s``, on a ``cut`` that crosses it (as
+    ``split_by_hyperplane`` takes it).  Returns ``(positive, negative)``:
+    the children kept, None for a side dropped.  A ``wanted`` side survives
+    when its coordinate in ``coords`` is selected (exact mode: all are);
+    when neither is, only the child with more vertices (tie: positive), so
+    both are built to compare.  Only sides that can survive are built, and
+    none means no split.  Each split adds 1 to ``stats["splits"]``."""
+    sel = ((True, True) if selection is None
+           else selection.selected[list(coords)].tolist())
+    keep = [w and c for w, c in zip(wanted, sel)] if any(sel) else (True, True)
+    if not any(keep):
+        return None, None
+    pos, neg = split_by_hyperplane(s, cut, keep)
+    if stats is not None:
+        stats["splits"] = stats.get("splits", 0) + 1
+    if not any(sel):
+        big = pos.n_vertices >= neg.n_vertices
+        keep = (wanted[0] and big, wanted[1] and not big)
+    return pos if keep[0] else None, neg if keep[1] else None
 
 
 def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
@@ -130,9 +136,8 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
     and its labels split the set on the lowest crossing neuron (no second
     classify).  The children, positive first, carry the other crossing
     neurons on.  Each child has a vertex strictly off the cut, so none is
-    dropped as flat: exact mode keeps both, and with a ``selection`` splits
-    on unselected neurons keep one (``_survivors``).  Budget as in
-    ``_walk``.
+    dropped as flat; ``_split`` keeps both unless a ``selection`` leaves the
+    neuron unselected.  Budget as in ``_walk``.
     """
     _check_selection(selection, inputs)
 
@@ -151,14 +156,11 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
 
         k = int(news[0])
         j = int((goes_pos & goes_neg).argmax())  # k's column in the pass
-        pos_s, neg_s = split_by_hyperplane(
-            s, None, cls=(sub[:, j], pos[:, j], neg[:, j]))
-        _count_split(stats)
-        sel_k = selection is None or bool(selection.selected[k])
+        kids = _split(s, (sub[:, j], pos[:, j], neg[:, j]), (k, k),
+                      (True, True), selection, stats)
         # the next sign pass zeroes k on the negative child and drops it on
         # the positive one
-        return None, [(c, news) for c, kept in zip(
-            (pos_s, neg_s), _survivors(pos_s, neg_s, sel_k, sel_k)) if kept]
+        return None, [(c, news) for c in kids if c is not None]
 
     return _walk([(s, np.arange(s.ambient_dim)) for s in inputs], step, stats)
 
@@ -216,20 +218,10 @@ def _domain_chain(s, pool, k, selection, stats, signs=None):
             if has_neg == want_pos:
                 return None
             continue
-        sel_i, sel_j = ((True, True) if selection is None else
-                        selection.selected[[pool.dims[i], pool.dims[j]]])
-        # only the other coordinate is selected: _survivors keeps just its
-        # side, so the wanted side need not be materialized; only when
-        # neither is does _survivors compare both sides' vertex counts
-        if sel_i != sel_j and sel_i != want_pos:
-            return None
-        both = not (sel_i or sel_j)
-        pos, neg = split_by_hyperplane(t, None, (want_pos or both,
-                                                 not want_pos or both), cut)
-        _count_split(stats)
+        pos, neg = _split(t, cut, (pool.dims[i], pool.dims[j]),
+                          (want_pos, not want_pos), selection, stats)
         t, signs = pos if want_pos else neg, None
-        if not _survivors(pos, neg, sel_i, sel_j)[not want_pos] or \
-                _expired(stats):
+        if t is None or _expired(stats):
             return None
     return t
 

@@ -67,6 +67,13 @@ def baseline_csv(tmp_path, values, name="x.csv"):
     return write(tmp_path / name, ",".join(str(v) for v in values))
 
 
+def strict_json(text):
+    """``json.loads`` that rejects NaN and +-Infinity, as RFC 8259 does."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -202,9 +209,26 @@ def test_falsify_overflowed_logits_are_no_witness(tmp_path, capsys):
                                model_overflow(tmp_path, 1e200), "--image",
                                img, "--epsilon", "1", "--relaxation", "1",
                                "--max-pixels", "2"], capsys)
-    v = json.loads(stdout)
+    v = strict_json(stdout)
     assert (code, v["status"], v["witnesses"]) == (2, "UNKNOWN", [])
-    assert v["final_margin"] == -np.inf
+    # a vertex whose margin overflowed to -inf is not adopted, so the
+    # image's own margin of 1 stands
+    assert v["final_margin"] == 1.0
+
+
+def test_falsify_overflowed_image_prints_strict_json(tmp_path, capsys):
+    # at the image (1, 1) the 1e200 net's own logits overflow, so its
+    # margin is not finite; stdout holds it as null, and nothing is a
+    # witness
+    img = baseline_csv(tmp_path, [1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, stdout, _ = run(["falsify", "--model",
+                               model_overflow(tmp_path, 1e200), "--image",
+                               img, "--epsilon", "1", "--relaxation", "1",
+                               "--max-pixels", "2"], capsys)
+    v = strict_json(stdout)
+    assert (code, v["status"], v["witnesses"]) == (2, "UNKNOWN", [])
+    assert v["final_margin"] is None
 
 
 def test_verify_fast_never_safe(tmp_path, capsys):

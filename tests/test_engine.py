@@ -12,7 +12,8 @@ from latreach import (Hyperplane, InputSpec, LayerDesc, Network, PoolSpec,
                       ReachConfig, ModelError, reach, backtrack,
                       select_neurons, forward, result_to_dict, sets_from_dict,
                       validate_set, verify)
-from latreach.engine import DEFAULT_MAX_SETS
+from latreach import engine
+from latreach.engine import DEFAULT_MAX_SETS, _partition_box
 from conftest import (batch_forward, check_soundness, completeness_error,
                       dedup_vertex_set, in_union, random_toy_net)
 
@@ -256,6 +257,84 @@ def test_reach_workers_match_sequential(budget, done):
     a = [sorted(dedup_vertex_set(s)) for s in seq.sets]
     b = [sorted(dedup_vertex_set(s)) for s in par.sets]
     assert a == b
+
+
+def partition_box_reference(lo, hi, k):
+    # the first builder: rescan every leaf for the leftmost widest, O(k^2)
+    leaves = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))]
+    while len(leaves) < k:
+        widths = [float((h - l).max()) for l, h in leaves]
+        i = int(np.argmax(widths))
+        if widths[i] <= 0.0:
+            break
+        l, h = leaves[i]
+        axis = int(np.argmax(h - l))
+        mid = 0.5 * (l[axis] + h[axis])
+        h1 = h.copy()
+        h1[axis] = mid
+        l2 = l.copy()
+        l2[axis] = mid
+        leaves[i:i + 1] = [(l, h1), (l2, h)]
+    return leaves
+
+
+def test_partition_box_matches_the_leftmost_widest_rule():
+    # same leaves in the same order, ties included: zero-width and equal
+    # widths tie often, uneven boxes rarely
+    rng = np.random.default_rng(20261019)
+    for _ in range(150):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 120))
+        lo = rng.uniform(-1, 1, d)
+        width = rng.choice([0.0, 0.5, 1.0, 2.0], d) * rng.choice(
+            [1.0, rng.uniform(0.5, 1.5)], d)
+        got = _partition_box(lo, lo + width, k)
+        want = partition_box_reference(lo, lo + width, k)
+        assert len(got) == len(want)
+        for (l1, h1), (l2, h2) in zip(got, want):
+            assert l1.tobytes() == l2.tobytes()
+            assert h1.tobytes() == h2.tobytes()
+
+
+def test_many_partitions_respect_the_timeout():
+    # building 4,000 partitions used to take 12.5 s before the first
+    # deadline check
+    net, spec = wide_relu_net()
+    t0 = time.perf_counter()
+    res = reach(net, spec, ReachConfig(partitions=4000, timeout=0.05))
+    assert time.perf_counter() - t0 < 1.0
+    assert res.truncated and res.partitions_done < 4000
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in process, so no process starts."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_reach_pool_is_never_wider_than_the_partitions(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    net, spec = random_toy_net(11)
+    for parts, made in ((1, []), (2, [2])):
+        RecordingPool.made.clear()
+        seq = reach(net, spec, ReachConfig(partitions=parts, workers=1))
+        par = reach(net, spec, ReachConfig(partitions=parts, workers=8))
+        assert RecordingPool.made == made
+        assert (par.set_count, par.partitions_done, par.counters) == \
+            (seq.set_count, seq.partitions_done, seq.counters)
+        for a, b in zip(par.sets, seq.sets):
+            assert a.vertices.tobytes() == b.vertices.tobytes()
+            assert a.region_vertices.tobytes() == b.region_vertices.tobytes()
 
 
 def test_reach_memory_per_set():

@@ -7,8 +7,9 @@ import pytest
 
 from latreach import (LatticeError, LatticeSet, Hyperplane, PoolSpec, NeuronSelection,
                       ModelError, build_box_lattice, affine_transform,
-                      validate_set, relu_layer_reach, maxpool_pool_reach,
-                      maxpool_layer_reach, affine_layer_reach)
+                      split_by_hyperplane, validate_set, relu_layer_reach,
+                      maxpool_pool_reach, maxpool_layer_reach,
+                      affine_layer_reach)
 from latreach import lattice, layers
 from latreach.lattice import sides
 from latreach.layers import _domain_chain
@@ -420,6 +421,86 @@ def test_fast_maxpool_centroid_fallback_keeps_every_set():
                 <= {dedup_vertex_set(o) for o in exact})
     # 24 of the 400 draws starve every domain
     assert starved >= 15, starved
+
+
+# d(u, w) over the unit square, as (weights, offset, vertex counts of the
+# positive and negative children of the cut d = 0)
+CUTS = {"pos_larger": ([1.0, 1.0], -0.5, (5, 3)),
+        "neg_larger": ([-1.0, -1.0], 0.5, (3, 5)),
+        "tie": ([1.0, 0.0], -0.5, (4, 4))}
+
+
+def cut_set(cut, second_row, second_offset):
+    """The unit square mapped to ``(d(u, w), second_row . (u, w) +
+    second_offset)``, for ``d`` of ``CUTS[cut]``."""
+    a, c, _ = CUTS[cut]
+    return affine_transform(build_box_lattice([0.0, 0.0], [1.0, 1.0]),
+                            np.array([a, second_row]),
+                            np.array([c, second_offset]))
+
+
+def assert_kept_children(outs, s, cut, h, sides_kept):
+    # each output keeps the lattice and region rows of the matching side
+    # of a two-sided split of s by h, bit for bit
+    both = split_by_hyperplane(s, h)
+    assert tuple(x.n_vertices for x in both) == CUTS[cut][2]
+    want = [both[i] for i in sides_kept]
+    assert len(outs) == len(want)
+    for got, side in zip(outs, want):
+        for name in ("ids", "dims", "child_ptr", "child_idx"):
+            x, y = getattr(got.lattice, name), getattr(side.lattice, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert got.lattice.next_id == side.lattice.next_id
+        assert got.region_vertices.tobytes() == side.region_vertices.tobytes()
+
+
+# (cut, selection of (x0, x1), sides kept: 0 where x0 wins, 1 where x1
+# does, splits): a chain for a coordinate whose side cannot survive makes
+# no split
+POOL_RULES = {
+    "exact": ("neg_larger", None, [0, 1], 2),
+    "both_selected": ("neg_larger", [True, True], [0, 1], 2),
+    "x0_selected": ("neg_larger", [True, False], [0], 1),
+    "x1_selected": ("pos_larger", [False, True], [1], 1),
+    "neither_pos_larger": ("pos_larger", [False, False], [0], 2),
+    "neither_neg_larger": ("neg_larger", [False, False], [1], 2),
+    "neither_tie": ("tie", [False, False], [0], 2),
+}
+
+
+@pytest.mark.parametrize("rule", POOL_RULES)
+def test_fast_pool_split_rule(rule):
+    cut, sel, kept, splits = POOL_RULES[rule]
+    s = cut_set(cut, [0.0, 0.0], 0.0)  # x0 - x1 = d
+    stats = {}
+    outs = maxpool_pool_reach(
+        [s], PoolSpec((0, 1), 0),
+        None if sel is None else NeuronSelection(np.array(sel)), stats)
+    assert stats["splits"] == splits
+    assert_kept_children(outs, s, cut, Hyperplane([1.0, -1.0], 0.0), kept)
+
+
+# (cut, whether neuron 0 is selected, sides kept: 0 positive, 1 negative);
+# each case makes one split
+RELU_RULES = {
+    "exact": ("neg_larger", None, [0, 1]),
+    "selected": ("neg_larger", True, [0, 1]),
+    "unselected_pos_larger": ("pos_larger", False, [0]),
+    "unselected_neg_larger": ("neg_larger", False, [1]),
+    "unselected_tie": ("tie", False, [0]),
+}
+
+
+@pytest.mark.parametrize("rule", RELU_RULES)
+def test_fast_relu_split_rule(rule):
+    cut, sel, kept = RELU_RULES[rule]
+    s = cut_set(cut, [1.0, 0.0], 1.0)  # x0 = d crosses, x1 = 1 + u does not
+    stats = {}
+    outs = relu_layer_reach(
+        [s], None if sel is None else NeuronSelection(np.array([sel, True])),
+        stats)
+    assert stats["splits"] == 1
+    assert_kept_children(outs, s, cut, Hyperplane([1.0, 0.0], 0.0), kept)
 
 
 def test_affine_layer_reach():

@@ -197,7 +197,7 @@ def test_split_reuses_the_callers_classification(case):
         want = split_by_hyperplane(s, h, keep)
         with mock.patch.object(lattice, "classify_vertices",
                                side_effect=AssertionError("classified")):
-            got = split_by_hyperplane(s, h, keep, cls)
+            got = split_by_hyperplane(s, cls, keep)
         for x, y in zip(got, want):
             _assert_bitwise_equal(x, y)
 
@@ -264,7 +264,7 @@ def test_strictly_signed_values_are_finite(s, data):
     h = Hyperplane(a, data.draw(entries))
     with np.errstate(invalid="ignore", over="ignore"):
         vals, cut_pos, cut_neg = cls = classify_vertices(s, h)
-        pos, neg = split_by_hyperplane(s, h, cls=cls)
+        pos, neg = split_by_hyperplane(s, cls)
     assert np.isfinite(vals[cut_pos | cut_neg]).all()
     assert (pos is not None) == (cut_pos.any() or not cut_neg.any())
     assert (neg is not None) == cut_neg.any()
