@@ -4,7 +4,8 @@ and result dumps.
 ``reach`` folds a list of sets through the network layer by layer.  The
 input box can be partitioned (repeated bisection of the widest perturbed
 coordinate) and partitions run independently, in-process or on a process
-pool; ``workers`` chooses only where they run, never the result.  A
+pool; ``workers`` chooses only where they run, never the result.  Only a
+run that starts a pool imports it, and ``multiprocessing`` with it.  A
 partition stops once its deadline passes or more than ``max_sets`` of its
 sets are alive (``layers._expired``, checked at every pop of the one walker
 that runs ReLU and maxpool, after every maxpool split and after every
@@ -19,7 +20,6 @@ import heapq
 import json
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -175,7 +175,11 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig,
     outs: list = []
     done = 0
     workers = min(cfg.workers, len(parts))
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: multiprocessing costs every other run ~2 MB resident
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
     try:
         for sets, stats in (pool.map if pool else map)(run, parts):
             counters["splits"] += stats["splits"]
@@ -319,9 +323,10 @@ def iter_set_records(path):
     dropped, so memory holds one chunk and one record, never the whole
     document.  Keys may come in any order and with any whitespace.  Any
     malformed JSON raises the ``json.JSONDecodeError`` that ``json.loads``
-    gives for the file; a document without ``sets`` raises ValueError.
+    gives for the file; a well-formed document without exactly one ``sets``
+    key, or whose ``sets`` is not an array, raises ValueError at its end.
     """
-    found = False
+    keys, array = 0, False
     with open(path) as f:
         w = _Window(f)
         try:
@@ -331,10 +336,11 @@ def iter_set_records(path):
                 if not isinstance(key, str):
                     w.fail("property name enclosed in double quotes")
                 w.take(":", "':' delimiter")
-                if key != "sets":
+                keys += key == "sets"
+                if key != "sets" or keys > 1 or w.peek() != "[":
                     w.value()
                     continue
-                found = True
+                array = True
                 w.take("[", "'['")
                 for _ in w.entries("]"):
                     yield w.value()
@@ -344,8 +350,12 @@ def iter_set_records(path):
             f.seek(0)
             json.loads(f.read())  # raises with json.loads' message, if any
             raise
-    if not found:
+    if not keys:
         raise ValueError("result dump has no 'sets' array")
+    if keys > 1:
+        raise ValueError(f"result dump has {keys} 'sets' keys")
+    if not array:
+        raise ValueError("result dump's 'sets' value is not an array")
 
 
 def sets_from_dict(doc: dict) -> list:

@@ -282,12 +282,14 @@ def load_model(path) -> Network:
         raise ModelError(f"{path}: invalid JSON ({e})") from e
     try:
         input_width = as_int(doc["input_width"], "input_width")
-        labels = list(doc["labels"])
-        raw_layers = list(doc["layers"])
+        labels, raw_layers = doc["labels"], doc["layers"]
     except KeyError as e:
         raise ModelError(f"{path}: missing top-level key {e}") from e
     except LatticeError as e:
         raise ModelError(f"{path}: {e}") from e
+    for key, val in (("labels", labels), ("layers", raw_layers)):
+        if not isinstance(val, list):
+            raise ModelError(f"{path}: '{key}' must be a JSON array")
 
     layers: list[LayerDesc] = []
     width = input_width

@@ -616,6 +616,33 @@ def test_cut_dump_exits_4(tmp_path, capsys, cut):
     assert code == 4 and want in err
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("sets_prefix", "has 2 'sets' keys"),
+    ("sets_suffix", "has 2 'sets' keys"),
+    ("sets_null", "'sets' value is not an array"),
+    ("sets_object", "'sets' value is not an array")])
+def test_dump_without_one_sets_array_exits_4(tmp_path, capsys, fault,
+                                             message):
+    # json.loads reads each of these without error: a repeated key keeps
+    # its last value
+    out = reach_quadrants(tmp_path, capsys)
+    text = out.read_text()
+    first = json.dumps(json.loads(text)["sets"][:1])
+    text = {"sets_prefix": '{"sets": ' + first + ", " + text[1:],
+            "sets_suffix": text[:-1] + ', "sets": ' + first + "}",
+            "sets_null": '{"sets": null}',
+            "sets_object": '{"sets": {"0": 1}}'}[fault]
+    out.write_text(text)
+    json.loads(text)
+    code, stdout, err = run(["backtrack", "--result", str(out), "--set-id",
+                             "0", "--constraint", "1-0>=0"], capsys)
+    assert (code, stdout) == (4, "") and message in err
+    code, stdout, err = run(["project", "--result", str(out), "--axes",
+                             "0,1", "--out", str(tmp_path / "p.csv")], capsys)
+    assert (code, stdout) == (4, "") and message in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_empty_dump_set_id_out_of_range(tmp_path, capsys):
     dump = write(tmp_path / "R.json", '{"sets": []}')
     code, _, err = run(["backtrack", "--result", dump, "--set-id", "0",

@@ -1,18 +1,23 @@
 """End-to-end reachability runs, neuron selection, backtracking, dumps."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import latreach
 from latreach import (Hyperplane, InputSpec, LayerDesc, Network, PoolSpec,
                       ReachConfig, ModelError, reach, backtrack,
                       select_neurons, forward, result_to_dict, sets_from_dict,
                       validate_set, verify)
-from latreach import engine
 from latreach.engine import DEFAULT_MAX_SETS, _partition_box
 from conftest import (batch_forward, check_soundness, completeness_error,
                       dedup_vertex_set, in_union, random_toy_net)
@@ -323,7 +328,9 @@ class RecordingPool:
 
 def test_reach_pool_is_never_wider_than_the_partitions(monkeypatch):
     monkeypatch.setattr(RecordingPool, "made", [])
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    # reach imports the pool class from here when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     net, spec = random_toy_net(11)
     for parts, made in ((1, []), (2, [2])):
         RecordingPool.made.clear()
@@ -335,6 +342,32 @@ def test_reach_pool_is_never_wider_than_the_partitions(monkeypatch):
         for a, b in zip(par.sets, seq.sets):
             assert a.vertices.tobytes() == b.vertices.tobytes()
             assert a.region_vertices.tobytes() == b.region_vertices.tobytes()
+
+
+POOL_FREE_RUNS = """
+import sys
+import numpy as np
+from latreach import InputSpec, LayerDesc, Network, ReachConfig, reach
+net = Network((LayerDesc("affine", 2, 3, [[1, 0], [0, 1], [1, -1]], [0, 0, 0]),
+               LayerDesc("relu", 3, 3),
+               LayerDesc("affine", 3, 2, [[1, 1, 0], [0, 1, 1]], [0, 0])),
+              2, ("a", "b"))
+spec = InputSpec(np.zeros(2), (0, 1), 1.0)
+for cfg in (ReachConfig(), ReachConfig(workers=4)):
+    assert reach(net, spec, cfg).set_count > 1
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_single_worker_runs_never_import_the_pool():
+    # a fresh interpreter: this one has imported the pool for other tests
+    src = str(Path(latreach.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", POOL_FREE_RUNS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_reach_memory_per_set():

@@ -155,6 +155,18 @@ def test_load_errors(tmp_path):
     assert load_model(write_model(tmp_path, doc)).input_width == 4
 
 
+@pytest.mark.parametrize("key, value", [
+    ("labels", "ab"), ("labels", {"a": 1, "b": 2}),
+    ("layers", "relu"), ("layers", {"kind": "relu"})])
+def test_labels_and_layers_must_be_arrays(tmp_path, key, value):
+    # a string or an object is not read as the sequence of its characters
+    # or keys
+    doc = {"input_width": 2, "labels": ["a", "b"],
+           "layers": [{"kind": "relu"}], key: value}
+    with pytest.raises(ModelError, match=f"'{key}' must be a JSON array"):
+        load_model(write_model(tmp_path, doc))
+
+
 def test_conv_one_by_one_is_channel_mix(tmp_path):
     # 1x1 conv on a 2-channel 2x2 image: per-pixel channel mixing
     filt = [[[[2.0]], [[3.0]]],
