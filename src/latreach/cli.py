@@ -314,8 +314,8 @@ def load_input_vector(path, shape=None) -> np.ndarray:
 
 def _parse_shape(text):
     parts = tuple(int(v) for v in text.split(","))
-    if len(parts) != 3:
-        raise ModelError("shape must be c,h,w")
+    if len(parts) != 3 or min(parts) < 1:
+        raise ModelError("shape must be three positive integers c,h,w")
     return parts
 
 

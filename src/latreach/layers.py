@@ -8,9 +8,10 @@ sign pass gives, so no layer classifies a vertex; ``_split`` counts the
 splits and applies the fast-mode survivor rule.  A ReLU step only branches
 on a neuron whose hyperplane crosses the set.  A maxpool piece makes one
 pair-sign pass (``_pair_signs``) over the windows of the pools it has not
-passed; it settles every pool that one coordinate wins on every
-comparison, and only the other pools enumerate the linearity domains where
-one pool coordinate dominates the others, cutting on that pass's columns.
+passed, read once by ``_pair_results``, the one rule for comparison
+outcomes.  The reading settles every pool one coordinate wins on every
+comparison; only the other pools enumerate the linearity domains where one
+pool coordinate dominates the others, cutting on that pass's columns.
 In fast mode a NeuronSelection marks the neurons treated exactly; a split
 on the rest keeps a single child, so fast outputs are always faces of
 exact outputs rather than new geometry.
@@ -192,16 +193,17 @@ def _pair_results(pos, neg):
             np.where(crossed, -1, np.where(has_neg, lo, hi)))
 
 
-def _domain_chain(s, pool, k, selection, stats, signs=None):
+def _domain_chain(s, pool, k, selection, stats, signs, results):
     """Clip ``s`` to the domain where pool coordinate ``k`` is the maximum.
 
     Applies the comparison hyperplanes involving ``k`` in ``_PAIRS`` order
     and keeps the side where ``dims[k]`` wins.  Each cut is a column of the
-    current piece's ``_pair_signs`` pass over ``pool.window``: ``signs`` on
-    ``s`` when the caller has it, a new pass on each piece a split makes.
-    Comparisons that do not cross the piece are decided by their masks (an
-    all-tie comparison counts as won by the lower coordinate).  Returns None
-    when the domain dies or ``stats`` expires, before or during the chain.
+    current piece's ``_pair_signs`` pass over ``pool.window``, and its
+    ``_pair_results`` reading decides the comparisons the piece does not
+    cross: ``signs`` and ``results`` on ``s`` (None: the chain makes them),
+    then one new pass and reading per split piece a later cut needs.
+    Returns None when the domain dies or ``stats`` expires, before or
+    during the chain.
     """
     if _expired(stats):
         return None
@@ -211,13 +213,12 @@ def _domain_chain(s, pool, k, selection, stats, signs=None):
             continue
         if signs is None:
             signs = _pair_signs(t.vertices, np.array(pool.window))
-        cut = tuple(a[:, p] for a in signs)
-        has_pos, has_neg = cut[1].any(), cut[2].any()
-        want_pos = i == k
-        if not (has_pos and has_neg):
-            if has_neg == want_pos:
-                return None
+            results = _pair_results(*signs[1:])
+        if results[1][p] == k:  # k loses a comparison t does not cross
+            return None
+        if results[1][p] >= 0:  # k wins it
             continue
+        want_pos, cut = i == k, tuple(a[:, p] for a in signs)
         pos, neg = _split(t, cut, (pool.dims[i], pool.dims[j]),
                           (want_pos, not want_pos), selection, stats)
         t, signs = pos if want_pos else neg, None
@@ -226,18 +227,16 @@ def _domain_chain(s, pool, k, selection, stats, signs=None):
     return t
 
 
-def _pool_domains(s, pool, selection, stats, signs=None):
+def _pool_domains(s, pool, selection, stats, signs, results):
     """All nonempty (piece, winner) linearity domains of one pool over ``s``.
-    Its chains share one ``_pair_signs`` pass on ``s`` over ``pool.window``:
-    ``signs``, the pool's columns of the caller's pass, or else a new one.
-    No chain runs for a coordinate that loses a pair ``s`` does not cross
-    (``_pair_results``), since its domain is empty."""
-    if signs is None:
-        signs = _pair_signs(s.vertices, np.array(pool.window))
-    lost, doms = _pair_results(*signs[1:])[1].tolist(), []
+    Its chains share ``signs``, the ``_pair_signs`` pass on ``s`` over
+    ``pool.window``, and ``results``, that pass's ``_pair_results``
+    reading.  No chain runs for a coordinate that loses a pair ``s`` does
+    not cross, since its domain is empty."""
+    lost, doms = results[1].tolist(), []
     for k in range(len(pool.dims)):
         piece = None if k in lost else _domain_chain(s, pool, k, selection,
-                                                     stats, signs)
+                                                     stats, signs, results)
         if piece is not None:
             doms.append((piece, k))
     if not doms and selection is not None:
@@ -245,7 +244,7 @@ def _pool_domains(s, pool, selection, stats, signs=None):
         # the centroid's winning coordinate so the pool never returns empty
         centroid = s.vertices.mean(axis=0)
         k = int(np.argmax(centroid[list(pool.dims)]))
-        piece = _domain_chain(s, pool, k, None, stats, signs)
+        piece = _domain_chain(s, pool, k, None, stats, signs, results)
         if piece is not None:
             doms.append((piece, k))
     return doms
@@ -264,21 +263,13 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     for s in inputs:
         if max(pool.dims) >= s.ambient_dim:
             raise LatticeError("pool coordinate out of range")
-        for piece, k in _pool_domains(s, pool, selection, stats):
+        signs = _pair_signs(s.vertices, np.array(pool.window))
+        for piece, k in _pool_domains(s, pool, selection, stats, signs,
+                                      _pair_results(*signs[1:])):
             keep = [c for c in range(piece.ambient_dim) if c not in pool.dims]
             keep.insert(min(pool.out, len(keep)), pool.dims[k])
             out.append(eliminate_dims(piece, keep))
     return out
-
-
-def _settled_winners(pos, neg):
-    """Each pool's winner on a piece, read from the ``sides`` masks ``pos``
-    and ``neg`` of its ``_pair_signs`` pass (vertex rows, pools, pairs): the
-    window index that wins all three of its pairs (``_pair_results``), even
-    where the piece crosses the other coordinates' comparisons; else -1 (a
-    crossed pool, or a tolerance cycle that no coordinate wins)."""
-    wins = (_pair_results(pos, neg)[0][..., None] == np.arange(4)).sum(axis=-2)
-    return np.where(wins.max(axis=-1) == 3, wins.argmax(axis=-1), -1)
 
 
 def maxpool_layer_reach(inputs, layer,
@@ -288,13 +279,14 @@ def maxpool_layer_reach(inputs, layer,
 
     One ``_walk`` step per (piece, first pool not passed, output columns of
     the pools passed) item.  Each piece makes one ``_pair_signs`` pass over
-    the pools it has not passed; it settles every pool one coordinate wins
-    (``_settled_winners``), with no split, up to the first pool it leaves
-    undecided, whose domains (``_pool_domains``, given that pool's columns)
-    open new pieces.  A pool in a tolerance cycle has no domain, so it kills
-    the piece.  Output coordinate ``pool.out`` receives ``pool``'s winner,
-    and outputs come in lexicographic order of the per-pool domains (pools
-    in list order).  Budget as in ``_walk``.
+    the pools it has not passed and reads it once (``_pair_results``); it
+    settles every pool one coordinate wins, with no split, up to the first
+    pool it leaves undecided, whose domains (``_pool_domains``, given that
+    pool's columns of the pass and reading) open new pieces.  A pool in a
+    tolerance cycle has no domain, so it kills the piece.  Output
+    coordinate ``pool.out`` receives ``pool``'s winner, and outputs come in
+    lexicographic order of the per-pool domains (pools in list order).
+    Budget as in ``_walk``.
     """
     pools = layer.pools
     outs = np.array([p.out for p in pools], dtype=np.intp)
@@ -307,7 +299,11 @@ def maxpool_layer_reach(inputs, layer,
 
     def step(t, pi, cols):
         signs = _pair_signs(t.vertices, idx[pi:])
-        won = _settled_winners(*signs[1:])
+        results = _pair_results(*signs[1:])
+        # a pool's winner wins all three of its pairs, even where the piece
+        # crosses the others'; else -1 (crossed, or a tolerance cycle)
+        wins = (results[0][..., None] == np.arange(4)).sum(axis=-2)
+        won = np.where(wins.max(axis=-1) == 3, wins.argmax(axis=-1), -1)
         open_ = np.flatnonzero(won < 0)
         n = int(open_[0]) if open_.size else won.size
         cols[outs[pi:pi + n]] = idx[np.arange(pi, pi + n), won[:n]]
@@ -316,7 +312,8 @@ def maxpool_layer_reach(inputs, layer,
         pool = pools[pi + n]
         return None, [(piece, pi + n + 1,
                        np.where(slots == pool.out, pool.dims[k], cols))
-                      for piece, k in _pool_domains(t, pool, selection, stats,
-                                                    [a[:, n] for a in signs])]
+                      for piece, k in _pool_domains(
+                          t, pool, selection, stats, [a[:, n] for a in signs],
+                          [a[n] for a in results])]
 
     return _walk([(s, 0, np.zeros_like(slots)) for s in inputs], step, stats)

@@ -280,6 +280,8 @@ def load_model(path) -> Network:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ModelError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: top level must be a JSON object")
     try:
         input_width = as_int(doc["input_width"], "input_width")
         labels, raw_layers = doc["labels"], doc["layers"]

@@ -116,6 +116,26 @@ def test_reach_shape_addresses_pixels(tmp_path, capsys):
     assert code == 4 and "out of range" in err
 
 
+@pytest.mark.parametrize("shape", ["1,-4,-4", "2,-2,-4", "0,4,4", "4,4"])
+@pytest.mark.parametrize("command", ["reach", "falsify"])
+def test_shape_must_be_three_positive_sizes(tmp_path, capsys, command, shape):
+    # only the product is compared with the input width, so 1,-4,-4 on 16
+    # values would run as a 1x16 grid; "--shape=" keeps argparse from
+    # reading "-4" as a flag
+    doc = {"input_width": 16, "labels": ["a", "b"],
+           "layers": [{"kind": "affine", "W": [[1.0] * 16, [0.0] * 16],
+                       "b": [0, 0]}]}
+    model = write(tmp_path / "m.json", json.dumps(doc))
+    x = baseline_csv(tmp_path, [0.1] * 16)
+    argv = {"reach": ["reach", "--input", x, "--pixels", "0",
+                      "--out", str(tmp_path / "R.json")],
+            "falsify": ["falsify", "--image", x, "--max-pixels", "4"]}[command]
+    code, stdout, err = run(argv + ["--model", model, f"--shape={shape}",
+                                    "--epsilon", "0.1"], capsys)
+    assert (code, stdout) == (4, "")
+    assert "shape must be three positive integers c,h,w" in err
+
+
 def test_reach_timeout_exit_code(tmp_path, capsys):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])

@@ -412,8 +412,8 @@ def test_fast_maxpool_centroid_fallback_keeps_every_set():
                              rng.normal(size=n) * 0.5)
         pools = [PoolSpec(rng.permutation(n), 0)]
         sel = NeuronSelection(rng.random(n) < rng.choice([0.0, 0.3]))
-        starved += all(_domain_chain(s, pools[0], k, sel, None) is None
-                       for k in range(n))
+        starved += all(_domain_chain(s, pools[0], k, sel, None, None, None)
+                       is None for k in range(n))
         exact = maxpool_layer_reach([s], maxpool_layer(pools))
         fast = maxpool_layer_reach([s], maxpool_layer(pools), sel)
         assert exact and fast

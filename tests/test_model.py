@@ -167,6 +167,24 @@ def test_labels_and_layers_must_be_arrays(tmp_path, key, value):
         load_model(write_model(tmp_path, doc))
 
 
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"', "3", "null"],
+                         ids=["array", "string", "number", "null"])
+def test_top_level_must_be_an_object(tmp_path, capsys, top):
+    # a library caller catching ModelError sees the fault, not a TypeError
+    path = tmp_path / "net.json"
+    path.write_text(top)
+    want = f"{path}: top level must be a JSON object"
+    with pytest.raises(ModelError) as err:
+        load_model(path)
+    assert str(err.value) == want
+    x = tmp_path / "x.csv"
+    x.write_text("0.0,0.0")
+    code = main(["reach", "--model", str(path), "--input", str(x),
+                 "--pixels", "0", "--epsilon", "0.1",
+                 "--out", str(tmp_path / "R.json")])
+    assert code == 4 and want in capsys.readouterr().err
+
+
 def test_conv_one_by_one_is_channel_mix(tmp_path):
     # 1x1 conv on a 2-channel 2x2 image: per-pixel channel mixing
     filt = [[[[2.0]], [[3.0]]],

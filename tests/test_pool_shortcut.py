@@ -15,7 +15,7 @@ from latreach import (LatticeSet, PoolSpec, NeuronSelection, ZERO_TOL,
                       maxpool_layer_reach, maxpool_pool_reach, forward,
                       gradient, load_model, reach)
 from latreach import lattice, layers
-from latreach.layers import _pool_domains
+from latreach.layers import _pool_domains, _pair_signs, _pair_results
 from conftest import maxpool_layer, write_conv_pool_model
 
 
@@ -26,7 +26,9 @@ def reference_maxpool_layer(inputs, pools, selection=None, stats=None):
         for pi, pool in enumerate(pools):
             nxt = []
             for t, wins in pending:
-                for piece, k in _pool_domains(t, pool, selection, stats):
+                signs = _pair_signs(t.vertices, np.array(pool.window))
+                for piece, k in _pool_domains(t, pool, selection, stats, signs,
+                                              _pair_results(*signs[1:])):
                     nxt.append((piece, wins[:pi] + [k] + wins[pi + 1:]))
             pending = nxt
         for piece, wins in pending:
@@ -241,6 +243,49 @@ def test_new_pieces_get_fresh_winners(monkeypatch):
     assert domains == [pools[0]] and classified == []
     # one pair-sign pass per piece: the segment and its two halves
     assert len(passes) == 3
+
+
+def count_passes_and_readings(monkeypatch):
+    """Counters of ``_pair_signs`` passes and ``_pair_results`` readings."""
+    counts = {"passes": 0, "readings": 0}
+    for name, key in (("_pair_signs", "passes"), ("_pair_results", "readings")):
+        def counted(*a, real=getattr(layers, name), key=key):
+            counts[key] += 1
+            return real(*a)
+        monkeypatch.setattr(layers, name, counted)
+    return counts
+
+
+def test_each_pair_sign_pass_is_read_once(monkeypatch, tmp_path):
+    # one rule turns a pass into comparison outcomes, and no pass is read
+    # twice or left unread: the step's reading settles pools and names the
+    # open pool's lost coordinates, and each chain reads each new pass
+    net = load_model(write_conv_pool_model(tmp_path / "net.json", 5))
+    x = np.random.default_rng(5).uniform(0, 1, 48)
+    counts = count_passes_and_readings(monkeypatch)
+    # the two-pool segment of test_new_pieces_get_fresh_winners
+    seg = affine_transform(build_box_lattice([-1.0], [1.0]),
+                           np.array([[1.0], [0.0], [1.0], [0.0]]), np.zeros(4))
+    maxpool_layer_reach([seg], maxpool_layer(
+        [PoolSpec((0, 1), 0), PoolSpec((2, 3), 1)]))
+    assert counts == {"passes": 3, "readings": 3}
+    rng = np.random.default_rng(20261019)
+    runs = []
+    for _ in range(30):
+        s, pools, selection = random_case(rng)
+        for sel in [None] + [selection] * (selection is not None):
+            runs += [(maxpool_layer_reach, [s], maxpool_layer(pools), sel),
+                     (maxpool_pool_reach, [s], pools[0], sel)]
+    runs.append((reach, net, InputSpec(x, (5, 21, 37), 0.3), ReachConfig()))
+    chained = 0
+    for fn, *args in runs:
+        counts.update(passes=0, readings=0)
+        fn(*args)
+        assert counts["passes"] >= 1
+        assert counts["readings"] == counts["passes"]
+        chained += counts["passes"] > 1
+    # chains made their own passes on split pieces in many runs
+    assert chained >= 10, chained
 
 
 def test_engine_reach_takes_the_loaded_pool_index(tmp_path):
