@@ -245,13 +245,21 @@ def _hull2d(points: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
+def _int_option(text: str, option: str) -> int:
+    """``text`` as an int; anything else is a ModelError naming ``option``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelError(f"{option} takes integers, got {text!r}") from None
+
+
 def _parse_axis(expr: str):
     expr = expr.strip()
     if expr in ("second", "second_highest"):
         return ("second", None)
     if expr.startswith("class:"):
-        return ("class", int(expr.split(":", 1)[1]))
-    return ("coord", int(expr))
+        return ("class", _int_option(expr.split(":", 1)[1], "--axes"))
+    return ("coord", _int_option(expr, "--axes"))
 
 
 def _parse_axes(axes):
@@ -313,7 +321,7 @@ def load_input_vector(path, shape=None) -> np.ndarray:
 
 
 def _parse_shape(text):
-    parts = tuple(int(v) for v in text.split(","))
+    parts = tuple(_int_option(v, "--shape") for v in text.split(","))
     if len(parts) != 3 or min(parts) < 1:
         raise ModelError("shape must be three positive integers c,h,w")
     return parts
@@ -321,7 +329,7 @@ def _parse_shape(text):
 
 def _parse_pixels(text, shape, width):
     """Pixel list to flat coordinate indices (all channels when shaped)."""
-    ids = [int(v) for v in text.split(",") if v.strip() != ""]
+    ids = [_int_option(v, "--pixels") for v in text.split(",") if v.strip()]
     groups = _pixel_groups(width, shape)
     for p in ids:
         if not 0 <= p < len(groups):
@@ -336,7 +344,7 @@ def _parse_constraint(text, width):
     j_txt, sep2, c_txt = body.partition("-")
     if not sep2:
         raise ModelError(f"constraint must look like 'j-c>=t', got {text!r}")
-    j, c = int(j_txt), int(c_txt)
+    j, c = (_int_option(v, "--constraint") for v in (j_txt, c_txt))
     if not (0 <= j < width and 0 <= c < width):
         raise ModelError(f"constraint indices out of range in {text!r}")
     return coord_hyperplane(width, j, c, -threshold)

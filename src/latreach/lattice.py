@@ -380,7 +380,12 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
     sec = section[ch]
     kid_owner, kid = sec_owner[sec >= 0], sec[sec >= 0]
     if on_plane:
-        grand, grank = _gather(ptr, idx, ch)
+        # the concatenated child lists of ch, and each entry's index in ch
+        starts = ptr[ch]
+        counts = ptr[ch + 1] - starts
+        grank = np.repeat(np.arange(ch.size), counts)
+        shift = starts - (np.cumsum(counts) - counts)
+        grand = idx[np.arange(grank.size) + shift[grank]]
         zero = all_zero[grand]
         kid_owner = np.concatenate((kid_owner, sec_owner[grank[zero]]))
         kid = np.concatenate((kid, grand[zero]))
@@ -402,15 +407,6 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
     return tuple(_assemble_side(s, flags != drop, *faces, new_verts,
                                 new_regions) if wanted else None
                  for drop, wanted in ((2, keep[0]), (1, keep[1])))
-
-
-def _gather(ptr, idx, rows):
-    """Concatenated child lists of ``rows`` and each entry's index in rows."""
-    starts = ptr[rows]
-    counts = ptr[rows + 1] - starts
-    rank = np.repeat(np.arange(rows.size), counts)
-    shift = starts - (np.cumsum(counts) - counts)
-    return idx[np.arange(rank.size) + shift[rank]], rank
 
 
 def _assemble_side(s, keep, ids, dims, owner, kid, new_verts, new_regions):
@@ -458,49 +454,47 @@ def eliminate_dims(s: LatticeSet, keep) -> LatticeSet:
 
 def validate_lattice(lat: FaceLattice) -> None:
     """Check structural invariants, raising LatticeError on the first hit."""
-    nf = lat.n_faces
-    if np.unique(lat.ids).size != nf:
-        raise LatticeError("face ids are not unique")
-    if np.any(np.diff(lat.dims) < 0):
+    ptr, kids, dims = lat.child_ptr, lat.child_idx, lat.dims
+    ids = np.sort(lat.ids)
+    if (ids[1:] == ids[:-1]).any():
+        raise LatticeError("duplicate face id")
+    if (dims[1:] < dims[:-1]).any():
         raise LatticeError("faces are not sorted by ascending dimension")
-    if np.any(lat.dims[:lat.n_vertices] != 0):
+    # dims are sorted: a negative dim comes first, a second top second last
+    if dims[0] < 0:
         raise LatticeError("vertex positions contain non-vertex faces")
-    if int(np.count_nonzero(lat.dims == lat.top_dim)) != 1:
+    if lat.n_faces > 1 and dims[-2] == lat.top_dim:
         raise LatticeError("top face is not unique")
-    if np.any(lat.ids >= lat.next_id):
+    if ids[-1] >= lat.next_id:
         raise LatticeError("next_id is not past every face id")
 
-    deg = np.diff(lat.child_ptr)
-    if np.any(deg[:lat.n_vertices] != 0):
+    deg = ptr[1:] - ptr[:-1]
+    if deg[:lat.n_vertices].any():
         raise LatticeError("a 0-face has children")
-    if nf > lat.n_vertices and np.any(deg[lat.n_vertices:] < 2):
+    if (deg[lat.n_vertices:] < 2).any():
         raise LatticeError("a k-face with k >= 1 has fewer than 2 children")
 
-    if lat.child_idx.size:
-        owner = np.repeat(np.arange(nf), deg)
-        if np.any(lat.child_idx >= owner):
-            raise LatticeError("a child does not precede its parent")
-        if np.any(lat.dims[lat.child_idx] != lat.dims[owner] - 1):
-            raise LatticeError("containment skips a dimension")
-        pair_order = np.lexsort((lat.child_idx, owner))
-        po, pc = owner[pair_order], lat.child_idx[pair_order]
-        if np.any((np.diff(po) == 0) & (np.diff(pc) == 0)):
-            raise LatticeError("duplicate child within a face")
-
-    reached = np.zeros(nf, dtype=bool)
-    frontier = np.array([nf - 1])
-    reached[frontier] = True
-    while frontier.size:
-        frontier = np.unique(_gather(lat.child_ptr, lat.child_idx, frontier)[0])
-        frontier = frontier[~reached[frontier]]
-        reached[frontier] = True
-    if not reached.all():
+    owner = np.repeat(np.arange(lat.n_faces), deg)
+    if (kids < 0).any():
+        raise LatticeError("a child position is negative")
+    if (kids >= owner).any():
+        raise LatticeError("a child does not precede its parent")
+    if (dims[kids] + 1 != dims[owner]).any():
+        raise LatticeError("containment skips a dimension")
+    pairs = np.sort(owner * lat.n_faces + kids)
+    if (pairs[1:] == pairs[:-1]).any():
+        raise LatticeError("duplicate child within a face")
+    # every link climbs one dimension and the top is the one face of its
+    # dimension, so a face that is some face's child is reached from the top
+    if not np.bincount(kids, minlength=lat.n_faces)[:-1].all():
         raise LatticeError("some faces are unreachable from the top face")
 
 
 def validate_set(s: LatticeSet) -> None:
     """Validate the lattice and the vertex matrices of ``s``."""
     validate_lattice(s.lattice)
+    if s.vertices.ndim != 2 or s.region_vertices.ndim != 2:
+        raise LatticeError("vertex matrices must be 2-D")
     if s.vertices.shape[0] != s.lattice.n_vertices:
         raise LatticeError("vertex matrix rows do not match lattice vertices")
     if s.region_vertices.shape[0] != s.lattice.n_vertices:
@@ -604,9 +598,9 @@ def set_from_dict(d: dict) -> LatticeSet:
     """Rebuild a set from :func:`set_to_dict` output.
 
     Vertex rows are matched to dim-0 face records in listing order.  A
-    duplicate face id, a child id that names no face, a child listed twice
-    by one face, and a bool or non-integral id, dim or child id raise
-    LatticeError.
+    duplicate face id, a child id that names no face, and a bool or
+    non-integral id, dim or child id raise LatticeError, and so does a set
+    that :func:`validate_set` rejects.
     """
     recs = sorted(d["faces"], key=operator.itemgetter("dim"))  # stable
     ids = [r["id"] for r in recs]
@@ -624,17 +618,14 @@ def set_from_dict(d: dict) -> LatticeSet:
                           for v in (ids, dims, kids))
     ptr = np.zeros(len(recs) + 1, dtype=np.int32)
     ptr[1:] = np.cumsum(n_kids)
-    by_id = np.argsort(ids)
+    by_id = np.argsort(ids)  # maps child ids to positions: needs unique ids
     sorted_ids = ids[by_id]
     if np.any(sorted_ids[1:] == sorted_ids[:-1]):
         raise LatticeError("duplicate face id")
     at = np.minimum(np.searchsorted(sorted_ids, kid_ids), ids.size - 1)
     if np.any(sorted_ids[at] != kid_ids):
         raise LatticeError("child id names no face")
-    pairs = np.sort(np.repeat(np.arange(ids.size), n_kids) * ids.size + at)
-    if np.any(pairs[1:] == pairs[:-1]):
-        raise LatticeError("duplicate child within a face")
     lat = FaceLattice(ids, dims, ptr, by_id[at], int(ids.max(initial=-1)) + 1)
-    verts = np.asarray(d["vertices"], dtype=float).reshape(lat.n_vertices, -1)
-    regions = np.asarray(d["region"], dtype=float).reshape(lat.n_vertices, -1)
-    return LatticeSet(lat, verts, regions)
+    s = LatticeSet(lat, d["vertices"], d["region"])
+    validate_set(s)
+    return s

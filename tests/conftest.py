@@ -132,7 +132,16 @@ def check_soundness(net, spec, sets, n_samples, tol, rng):
         rem = np.nonzero(~covered)[0]
         if rem.size == 0:
             break
-        inside = VPolytope(s.region_vertices).contains(X[rem], tol * scale)
+        # only samples within tol of the region's bounding box go to the
+        # hull test, and a set without any needs no hull; the box can only
+        # drop a sample, never cover one
+        R = s.region_vertices
+        near = ((X[rem] >= R.min(axis=0) - tol * scale)
+                & (X[rem] <= R.max(axis=0) + tol * scale)).all(axis=1)
+        rem = rem[near]
+        if rem.size == 0:
+            continue
+        inside = VPolytope(R).contains(X[rem], tol * scale)
         if not inside.any():
             continue
         idx = rem[inside]

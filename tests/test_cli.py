@@ -114,6 +114,12 @@ def test_reach_shape_addresses_pixels(tmp_path, capsys):
     assert moved.tolist() == [1, 5]
     code, _, err = run(argv + ["4"], capsys)
     assert code == 4 and "out of range" in err
+    # text that is not an integer names its option
+    code, _, err = run(argv + ["0,x"], capsys)
+    assert code == 4 and "--pixels takes integers, got 'x'" in err
+    code, _, err = run([a.replace("2,2,2", "1,2,1.0") for a in argv]
+                       + ["1"], capsys)
+    assert code == 4 and "--shape takes integers, got '1.0'" in err
 
 
 @pytest.mark.parametrize("shape", ["1,-4,-4", "2,-2,-4", "0,4,4", "4,4"])
@@ -397,6 +403,9 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
     code, _, err = run(["backtrack", "--result", str(out), "--set-id", "0",
                         "--constraint", "nonsense"], capsys)
     assert code == 4 and "constraint" in err
+    code, _, err = run(["backtrack", "--result", str(out), "--set-id", "0",
+                        "--constraint", "1.5-0>=0"], capsys)
+    assert code == 4 and "--constraint takes integers, got '1.5'" in err
     # a non-finite threshold has no side to keep: an error, not the whole set
     for text in ("1-0>=inf", "1-0>=-inf", "1-0>=nan"):
         code, stdout, err = run(["backtrack", "--result", str(out),
@@ -410,7 +419,17 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
     ("duplicate_id", "duplicate face id"),
     ("id_past_int32", "does not fit int32"),
     ("fractional_id", "face id must be an integer"),
-    ("duplicate_child", "duplicate child within a face")])
+    ("duplicate_child", "duplicate child within a face"),
+    # well-formed records that no reach could have made
+    ("edge_with_one_child", "a k-face with k >= 1 has fewer than 2 children"),
+    ("self_child", "a child does not precede its parent"),
+    ("infinite_vertex", "non-finite vertex coordinates"),
+    ("top_lists_vertex", "containment skips a dimension"),
+    ("vertex_with_child", "a 0-face has children"),
+    ("second_top", "top face is not unique"),
+    ("vertex_dim_minus_1", "vertex positions contain non-vertex faces"),
+    ("short_region", "region matrix rows do not match lattice vertices"),
+    ("short_vertices", "vertex matrix rows do not match lattice vertices")])
 def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])
@@ -418,7 +437,9 @@ def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     run(["reach", "--model", model, "--input", x, "--pixels", "0,1",
          "--epsilon", "1.0", "--out", str(out)], capsys)
     doc = json.loads(out.read_text())
-    faces = doc["sets"][1]["faces"]
+    # set 1 is a square: 4 vertex records, 4 edges (records 4-7), a top face
+    rec = doc["sets"][1]
+    faces = rec["faces"]
     if corrupt == "unknown_child":
         faces[-1]["children"][0] = max(f["id"] for f in faces) + 1
     elif corrupt == "id_past_int32":
@@ -427,13 +448,35 @@ def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
         faces[-1]["id"] += 0.7
     elif corrupt == "duplicate_child":
         faces[-1]["children"].append(faces[-1]["children"][0])
-    else:
+    elif corrupt == "duplicate_id":
         faces[1]["id"] = faces[0]["id"]
+    elif corrupt == "edge_with_one_child":
+        faces[4]["children"].pop()
+    elif corrupt == "self_child":
+        faces[4]["children"][1] = faces[4]["id"]
+    elif corrupt == "infinite_vertex":
+        rec["vertices"][0][0] = float("inf")  # dumped as Infinity
+    elif corrupt == "top_lists_vertex":
+        faces[-1]["children"].append(faces[0]["id"])
+    elif corrupt == "vertex_with_child":
+        faces[0]["children"] = [faces[1]["id"]]
+    elif corrupt == "second_top":
+        faces[4]["dim"] = 2
+    elif corrupt == "vertex_dim_minus_1":
+        faces[0]["dim"] = -1
+    elif corrupt == "short_region":
+        rec["region"] = rec["region"][:2]  # 4 values, as if 4 rows of 1
+    else:
+        rec["vertices"] = rec["vertices"][:2]
     out.write_text(json.dumps(doc))
 
     back = ["backtrack", "--result", str(out), "--constraint", "1-0>=0"]
     code, _, err = run(back + ["--set-id", "1"], capsys)
     assert code == 4 and message in err
+    # without a constraint backtrack returns the set as read, so only the
+    # reader can refuse it
+    code, stdout, err = run(back[:3] + ["--set-id", "1"], capsys)
+    assert (code, stdout) == (4, "") and message in err
     # backtrack rebuilds only the set it was asked for
     code, _, _ = run(back + ["--set-id", "0"], capsys)
     assert code == 0
@@ -747,6 +790,12 @@ def test_project_axis_errors(tmp_path, capsys):
                            capsys)
         assert code == 4 and err.startswith("error:"), axes
         assert not csv_path.exists(), axes
+    # an index that is not an integer names the option
+    for axes in ["0,x", "class:x,second"]:
+        code, _, err = run(["project", "--result", str(out),
+                            f"--axes={axes}", "--out", str(csv_path)],
+                           capsys)
+        assert code == 4 and "--axes takes integers, got 'x'" in err, axes
     # a malformed axis fails before the dump is read
     for axes in ["0,second", "0,x", "0"]:
         code, _, err = run(["project", "--result", str(tmp_path / "no.json"),

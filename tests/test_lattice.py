@@ -308,8 +308,7 @@ SQUARE = build_box_lattice([0.0, 0.0], [1.0, 1.0])
 _ptr, _kids = SQUARE.lattice.child_ptr, SQUARE.lattice.child_idx
 
 
-# test_validator_catches_corruption covers duplicate ids and skipped
-# dimensions
+# test_validator_catches_corruption also covers skipped dimensions
 @pytest.mark.parametrize("message, edits", [
     ("not sorted by ascending dimension", {"dims": replaced(
         SQUARE.lattice.dims, 4, 2)}),
@@ -328,7 +327,10 @@ _ptr, _kids = SQUARE.lattice.child_ptr, SQUARE.lattice.child_idx
     ("region matrix rows", {"region": SQUARE.region_vertices[:2]}),
     ("non-finite", {"vertices": replaced(SQUARE.vertices, (0, 0), np.inf)}),
     ("non-finite", {"region": replaced(SQUARE.region_vertices, (3, 1),
-                                       np.nan)})])
+                                       np.nan)}),
+    ("duplicate face id", {"ids": replaced(SQUARE.lattice.ids, 5, 4)}),
+    ("a child position is negative", {"child_idx": replaced(_kids, 0, -1)}),
+    ("must be 2-D", {"vertices": SQUARE.vertices.ravel()[:4]})])
 def test_validator_names_each_defect(message, edits):
     lat = SQUARE.lattice
     parts = {"ids": lat.ids, "dims": lat.dims, "child_ptr": lat.child_ptr,

@@ -7,6 +7,8 @@ side that comes back must be a valid set on its closed half-space, and each
 new vertex must sit on an edge of the input with its vertex row and its
 region row interpolated by the same parameter.  Asking for one side, or
 handing the split the caller's classification, changes no bit of a side.
+The lattice validator is checked against a reference on one-edit
+corruptions of such sets.
 """
 
 from unittest import mock
@@ -14,9 +16,10 @@ from unittest import mock
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from latreach import (ZERO_TOL, Hyperplane, LatticeSet, affine_transform,
-                      build_box_lattice, classify_vertices, lattice,
-                      split_by_hyperplane, validate_set)
+from latreach import (ZERO_TOL, FaceLattice, Hyperplane, LatticeError,
+                      LatticeSet, affine_transform, build_box_lattice,
+                      classify_vertices, lattice, split_by_hyperplane,
+                      validate_lattice, validate_set)
 from latreach.lattice import coord_hyperplane, sides
 from latreach.layers import _pair_signs
 from conftest import hull_face_counts_3d, children_of, counts_by_dim
@@ -270,3 +273,107 @@ def test_strictly_signed_values_are_finite(s, data):
     assert (neg is not None) == cut_neg.any()
     for side in (pos, neg):
         assert side is None or np.isfinite(side.region_vertices).all()
+
+
+def reference_validate_lattice(lat):
+    """``validate_lattice`` written the long way: a breadth-first walk from
+    the top face for reachability and a lexsort of (owner, child) pairs for
+    duplicate children.  Every check and message is the validator's, in
+    its order."""
+    nf, nv = lat.n_faces, lat.n_vertices
+    if np.unique(lat.ids).size != nf:
+        raise LatticeError("duplicate face id")
+    if np.any(np.diff(lat.dims) < 0):
+        raise LatticeError("faces are not sorted by ascending dimension")
+    if np.any(lat.dims[:nv] != 0):
+        raise LatticeError("vertex positions contain non-vertex faces")
+    if int(np.count_nonzero(lat.dims == lat.top_dim)) != 1:
+        raise LatticeError("top face is not unique")
+    if np.any(lat.ids >= lat.next_id):
+        raise LatticeError("next_id is not past every face id")
+    deg = np.diff(lat.child_ptr)
+    if np.any(deg[:nv] != 0):
+        raise LatticeError("a 0-face has children")
+    if nf > nv and np.any(deg[nv:] < 2):
+        raise LatticeError("a k-face with k >= 1 has fewer than 2 children")
+    if lat.child_idx.size:
+        owner = np.repeat(np.arange(nf), deg)
+        if np.any(lat.child_idx < 0):
+            raise LatticeError("a child position is negative")
+        if np.any(lat.child_idx >= owner):
+            raise LatticeError("a child does not precede its parent")
+        if np.any(lat.dims[lat.child_idx] != lat.dims[owner] - 1):
+            raise LatticeError("containment skips a dimension")
+        pair_order = np.lexsort((lat.child_idx, owner))
+        po, pc = owner[pair_order], lat.child_idx[pair_order]
+        if np.any((np.diff(po) == 0) & (np.diff(pc) == 0)):
+            raise LatticeError("duplicate child within a face")
+    reached = np.zeros(nf, dtype=bool)
+    frontier = [nf - 1]
+    reached[frontier] = True
+    while frontier:
+        kids = {int(c) for f in frontier for c in children_of(lat, f)}
+        frontier = [c for c in kids if not reached[c]]
+        reached[frontier] = True
+    if not reached.all():
+        raise LatticeError("some faces are unreachable from the top face")
+
+
+@st.composite
+def corrupted_lattices(draw):
+    """An engine-made lattice with at most one edit: a child retargeted, a
+    child entry dropped, a dim moved by one, an id duplicated, next_id
+    lowered or a child position made negative."""
+    lat = draw(split_cases())[0].lattice
+    ids, dims = lat.ids.copy(), lat.dims.copy()
+    ptr, kids = lat.child_ptr.copy(), lat.child_idx.copy()
+    next_id, nf = lat.next_id, lat.n_faces
+    face = st.integers(0, nf - 1)
+    entry = st.integers(0, kids.size - 1)
+    # "none" last: Hypothesis leans towards the first choices
+    edits = ["id", "next_id", "dim", "none"]
+    if kids.size:
+        edits = ["retarget", "drop", "negative"] + edits
+    edit = draw(st.sampled_from(edits))
+    if edit == "retarget":
+        # any position, or another child of the same face, which makes a
+        # duplicate child
+        j = draw(entry)
+        o = np.searchsorted(ptr, j, side="right") - 1
+        siblings = np.delete(kids[ptr[o]:ptr[o + 1]], j - ptr[o])
+        kids[j] = draw(st.integers(0, nf) | st.sampled_from(siblings.tolist()))
+    elif edit == "drop":
+        # any entry, or one of the top face's, which orphans a facet
+        j = draw(entry | st.integers(ptr[-2], ptr[-1] - 1))
+        kids = np.delete(kids, j)
+        ptr[np.searchsorted(ptr, j, side="right"):] -= 1
+    elif edit == "negative":
+        kids[draw(entry)] = draw(st.integers(-3, -1))
+    elif edit == "dim":
+        # any face, or one next to a boundary between dimensions: the
+        # first and last vertex, the first face past them, the one below
+        # the top
+        nv = lat.n_vertices
+        at = draw(face | st.sampled_from([0, nv - 1, min(nv, nf - 1),
+                                          max(nf - 2, 0)]))
+        dims[at] += draw(st.sampled_from([-1, 1]))
+    elif edit == "id":
+        ids[draw(face)] = ids[draw(face)]
+    elif edit == "next_id":
+        next_id = draw(st.integers(int(ids.max()) - 2, next_id - 1))
+    return FaceLattice(ids, dims, ptr, kids, next_id)
+
+
+def _verdict(check, lat):
+    try:
+        check(lat)
+    except LatticeError as e:
+        return str(e)
+    return None
+
+
+@settings(PROPERTY, max_examples=500)
+@given(corrupted_lattices())
+def test_validator_matches_reference(lat):
+    assert _verdict(validate_lattice, lat) == \
+        _verdict(reference_validate_lattice, lat)
