@@ -340,7 +340,11 @@ def _parse_pixels(text, shape, width):
 def _parse_constraint(text, width):
     """Halfspace 'j-c>=t': logit_j - logit_c >= t (t defaults to 0)."""
     body, sep, rhs = text.partition(">=")
-    threshold = float(rhs) if sep else 0.0
+    try:
+        threshold = float(rhs) if sep else 0.0
+    except ValueError:
+        raise ModelError(f"--constraint takes a number after '>=', got "
+                         f"{rhs!r}") from None
     j_txt, sep2, c_txt = body.partition("-")
     if not sep2:
         raise ModelError(f"constraint must look like 'j-c>=t', got {text!r}")

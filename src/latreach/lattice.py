@@ -36,7 +36,7 @@ import numpy as np
 
 ZERO_TOL = 1e-9
 MAX_BOX_DIM = 10
-_I32 = np.iinfo(np.int32)
+_I16, _I32 = np.iinfo(np.int16), np.iinfo(np.int32)
 
 class LatticeError(ValueError):
     """Raised when a lattice or set violates a structural invariant."""
@@ -93,6 +93,19 @@ def sides(values, scale):
     return values > tol, values < -tol
 
 
+def _buffer_dtype(size, next_id, wide):
+    """The integer type of a lattice buffer of ``size`` entries: int16 when
+    ``size`` and ``next_id`` fit it and no stored value is known to need
+    more (``wide``), else int32; past int32 raises LatticeError.  Ids lie
+    below ``next_id`` and positions and pointers below ``size``, so the
+    first two bound every value a reach or a dump can store."""
+    if size > _I32.max or not _I32.min <= next_id <= _I32.max:
+        raise LatticeError("lattice does not fit int32")
+    if wide or size > _I16.max or not _I16.min <= next_id <= _I16.max:
+        return np.int32
+    return np.int16
+
+
 class FaceLattice:
     """Combinatorial face DAG of a bounded convex set.
 
@@ -101,8 +114,10 @@ class FaceLattice:
     ``n_vertices`` (the 0-faces) and ``top_dim``; ``ids`` are stable
     across splits (kept faces keep their id, new faces draw from
     ``next_id``).  ``ids``, ``dims``, ``child_ptr`` and ``child_idx`` are
-    read-only int32 views of one buffer; a value or ``next_id`` outside
-    int32 raises LatticeError.  Instances are immutable once built.
+    read-only views of one integer buffer: int16 when every value, the
+    buffer length and ``next_id`` fit it, else int32; a value or
+    ``next_id`` outside int32 raises LatticeError.  Instances are
+    immutable once built.
     """
 
     __slots__ = ("_buf", "n_faces", "n_vertices", "top_dim", "next_id")
@@ -114,27 +129,26 @@ class FaceLattice:
             raise LatticeError("inconsistent array sizes")
         if nf == 0:
             raise LatticeError("empty lattice")
-        # int32 input needs no value check: positions and pointers built as
-        # int32 stay below the buffer size, which _adopt bounds
-        if any(a.dtype != _I32.dtype and a.size
-               and (a.min() < _I32.min or a.max() > _I32.max)
-               for a in parts):
+        lo = min(int(a.min()) for a in parts if a.size)
+        hi = max(int(a.max()) for a in parts if a.size)
+        if lo < _I32.min or hi > _I32.max:
             raise LatticeError("lattice does not fit int32")
-        self._adopt(np.concatenate(parts, dtype=np.int32, casting="unsafe"),
+        next_id = int(next_id)
+        size = 3 * nf + 1 + parts[3].size
+        dtype = _buffer_dtype(size, next_id,
+                              wide=lo < _I16.min or hi > _I16.max)
+        self._adopt(np.concatenate(parts, dtype=dtype, casting="unsafe"),
                     nf, next_id)
 
     @classmethod
     def _of_buffer(cls, buf, n_faces, next_id):
-        """A lattice over an int32 ``buf`` already laid out as below, with
-        no value scan (the split builds one, and a pickle holds one)."""
+        """A lattice over a ``buf`` already laid out as below, with no
+        value scan (the split builds one, and a pickle holds one)."""
         lat = object.__new__(cls)
         lat._adopt(buf, n_faces, next_id)
         return lat
 
     def _adopt(self, buf, n_faces, next_id):
-        next_id = int(next_id)
-        if buf.size > _I32.max or not _I32.min <= next_id <= _I32.max:
-            raise LatticeError("lattice does not fit int32")
         buf.setflags(write=False)
         self._buf, self.n_faces, self.next_id = buf, n_faces, next_id
         self.top_dim = int(self.dims[-1])
@@ -398,7 +412,9 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
     # faces and child entries of both sides, new faces coded nf + j: the
     # old ones, then the sections (all-zero flags, so every side keeps
     # them), the section child of each source face and the children of
-    # each new face; ids past int32 fail at next_id, checked when built
+    # each new face; ids past int32 fail at next_id, checked when built.
+    # Old ids join intp ones, and a cut face has dim >= 1, so neither
+    # concatenation wraps in an int16 lattice
     flags = np.concatenate((flags, np.zeros(n_new, dtype=np.int8)))
     faces = (np.concatenate((lat.ids, lat.next_id - nf + new)),
              np.concatenate((lat.dims, lat.dims[src] - 1)),
@@ -410,13 +426,15 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
 
 
 def _assemble_side(s, keep, ids, dims, owner, kid, new_verts, new_regions):
-    """One side of a split, written straight into its int32 buffer:
-    the faces and child entries that ``keep`` marks, over the arrays of
-    old and new faces that ``split_by_hyperplane`` builds once."""
+    """One side of a split, written straight into its buffer: the faces
+    and child entries that ``keep`` marks, over the arrays of old and new
+    faces that ``split_by_hyperplane`` builds once."""
     lat = s.lattice
     nf = lat.n_faces
     # final positions sorted by (dim, old-before-new, original order), so
-    # old kept vertex rows land first
+    # old kept vertex rows land first; 2 * dim + 1 cannot wrap in int16,
+    # as a valid lattice has more faces than its top_dim and an int16 one
+    # fewer than 11,000
     codes = keep.nonzero()[0]
     codes = codes[(2 * dims[codes] + (codes >= nf)).argsort(kind="stable")]
     n = codes.size
@@ -426,7 +444,11 @@ def _assemble_side(s, keep, ids, dims, owner, kid, new_verts, new_regions):
     # stable sort by owner position keeps each face's old children first
     own = keep[owner] & keep[kid]
     kid_owner = pos_of[owner[own]]
-    buf = np.empty(3 * n + 1 + kid_owner.size, dtype=np.int32)
+    # new ids run from lat.next_id to next_id and old ids fit lat's width,
+    # so int16 holds every value when lat does and the two bounds fit it
+    size, next_id = 3 * n + 1 + kid_owner.size, lat.next_id + ids.size - nf
+    buf = np.empty(size, dtype=_buffer_dtype(size, next_id,
+                                             wide=lat._buf.itemsize > 2))
     buf[:n] = ids[codes]
     buf[n:2 * n] = dims[codes]
     buf[2 * n] = 0
@@ -437,7 +459,7 @@ def _assemble_side(s, keep, ids, dims, owner, kid, new_verts, new_regions):
     old_v = keep[:lat.n_vertices]
     verts = np.concatenate((s.vertices[old_v], new_verts))
     regions = np.concatenate((s.region_vertices[old_v], new_regions))
-    out = FaceLattice._of_buffer(buf, n, lat.next_id + ids.size - nf)
+    out = FaceLattice._of_buffer(buf, n, next_id)
     return LatticeSet(out, verts, regions)
 
 
@@ -454,7 +476,10 @@ def eliminate_dims(s: LatticeSet, keep) -> LatticeSet:
 
 def validate_lattice(lat: FaceLattice) -> None:
     """Check structural invariants, raising LatticeError on the first hit."""
-    ptr, kids, dims = lat.child_ptr, lat.child_idx, lat.dims
+    # int16 arithmetic wraps silently: pointer differences and dims + 1
+    # are taken in intp
+    ptr, dims = lat.child_ptr.astype(np.intp), lat.dims.astype(np.intp)
+    kids = lat.child_idx
     ids = np.sort(lat.ids)
     if (ids[1:] == ids[:-1]).any():
         raise LatticeError("duplicate face id")
@@ -468,6 +493,10 @@ def validate_lattice(lat: FaceLattice) -> None:
     if ids[-1] >= lat.next_id:
         raise LatticeError("next_id is not past every face id")
 
+    if ptr[0] != 0:
+        raise LatticeError("child pointers do not start at 0")
+    if ptr[-1] != kids.size:
+        raise LatticeError("child pointers do not end at the child count")
     deg = ptr[1:] - ptr[:-1]
     if deg[:lat.n_vertices].any():
         raise LatticeError("a 0-face has children")
@@ -541,6 +570,8 @@ def _chunk_json(sets) -> str:
     """
     lats = [s.lattice for s in sets]
     n_faces = [lat.n_faces for lat in lats]
+    # pointers rise from 0, so their int16 differences cannot wrap, and
+    # cumsum below sums int16 in intp
     n_kids = np.concatenate([np.diff(lat.child_ptr) for lat in lats])
     ids = np.concatenate([lat.ids for lat in lats])
     dims = np.concatenate([lat.dims for lat in lats])

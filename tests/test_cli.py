@@ -406,6 +406,12 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
     code, _, err = run(["backtrack", "--result", str(out), "--set-id", "0",
                         "--constraint", "1.5-0>=0"], capsys)
     assert code == 4 and "--constraint takes integers, got '1.5'" in err
+    for text, rhs in (("1-0>=x", "'x'"), ("1-0>=", "''")):
+        code, stdout, err = run(["backtrack", "--result", str(out),
+                                 "--set-id", "0", "--constraint", text],
+                                capsys)
+        assert (code, stdout) == (4, "") and \
+            f"--constraint takes a number after '>=', got {rhs}" in err, text
     # a non-finite threshold has no side to keep: an error, not the whole set
     for text in ("1-0>=inf", "1-0>=-inf", "1-0>=nan"):
         code, stdout, err = run(["backtrack", "--result", str(out),

@@ -373,7 +373,8 @@ def test_single_worker_runs_never_import_the_pool():
 def test_reach_memory_per_set():
     # 269 exact sets; tracemalloc counts the bytes the finished sets hold:
     # 32.6 kB a set with int64 lattice arrays kept apart, 27.4 kB with one
-    # int32 buffer per lattice and slotted sets
+    # int32 buffer per lattice and slotted sets, 16.6 kB with int16
+    # buffers where they fit (every lattice here)
     net, spec = random_toy_net(13)
     reach(net, spec, ReachConfig())  # box lattice cache filled before
     tracemalloc.start()
@@ -383,7 +384,7 @@ def test_reach_memory_per_set():
     finally:
         tracemalloc.stop()
     assert res.set_count == 269
-    assert held / res.set_count < 30_000
+    assert held / res.set_count < 17_500
 
 
 def test_fast_outputs_inside_exact(rng):

@@ -12,7 +12,7 @@ from latreach import (FaceLattice, LatticeSet, Hyperplane, LatticeError,
                       build_box_lattice, affine_transform, classify_vertices,
                       split_by_hyperplane, eliminate_dims, validate_lattice,
                       validate_set, set_to_dict, set_from_dict)
-from latreach.lattice import coord_hyperplane, sides
+from latreach.lattice import coord_hyperplane, sets_json, sides
 from conftest import tetra_set, hull_face_counts_3d, children_of, counts_by_dim
 
 
@@ -330,7 +330,12 @@ _ptr, _kids = SQUARE.lattice.child_ptr, SQUARE.lattice.child_idx
                                        np.nan)}),
     ("duplicate face id", {"ids": replaced(SQUARE.lattice.ids, 5, 4)}),
     ("a child position is negative", {"child_idx": replaced(_kids, 0, -1)}),
-    ("must be 2-D", {"vertices": SQUARE.vertices.ravel()[:4]})])
+    ("must be 2-D", {"vertices": SQUARE.vertices.ravel()[:4]}),
+    ("child pointers do not start at 0", {"child_ptr": replaced(_ptr, 0, 1)}),
+    ("child pointers do not end at the child count",
+     {"child_ptr": replaced(_ptr, 9, 13)}),
+    ("child pointers do not end at the child count",
+     {"child_ptr": replaced(_ptr, 9, 11)})])
 def test_validator_names_each_defect(message, edits):
     lat = SQUARE.lattice
     parts = {"ids": lat.ids, "dims": lat.dims, "child_ptr": lat.child_ptr,
@@ -400,13 +405,40 @@ def test_lattice_values_must_fit_int32():
                      (3, [0, -2 ** 31 - 1]), (4, 2 ** 31)]:
         with pytest.raises(LatticeError, match="int32"):
             FaceLattice(*args[:i], value, *args[i + 1:])
-    # in-range input of any integer type is stored as read-only int32
-    wide = FaceLattice(*(np.asarray(a, dtype=np.int64) for a in args[:4]),
-                       lat.next_id)
-    for name in ("ids", "dims", "child_ptr", "child_idx"):
-        x, y = getattr(wide, name), getattr(lat, name)
-        assert x.dtype == np.int32 and np.array_equal(x, y), name
-        assert not x.flags.writeable, name
+    # small in-range input of any integer type is stored as read-only int16
+    for dtype in (np.int8, np.uint16, np.int32, np.int64):
+        small = FaceLattice(*(np.asarray(a, dtype=dtype) for a in args[:4]),
+                            lat.next_id)
+        for name in ("ids", "dims", "child_ptr", "child_idx"):
+            x, y = getattr(small, name), getattr(lat, name)
+            assert x.dtype == np.int16 and np.array_equal(x, y), name
+            assert not x.flags.writeable, name
+    # a value or next_id past int16 gives int32, at either end
+    for i, value, dtype in [(0, [0, 1, 2 ** 15 - 1], np.int16),
+                            (0, [0, 1, 2 ** 15], np.int32),
+                            (0, [0, 1, -2 ** 15], np.int16),
+                            (0, [0, 1, -2 ** 15 - 1], np.int32),
+                            (2, [0, 0, 0, 2 ** 15], np.int32),
+                            (3, [0, -2 ** 15 - 1], np.int32),
+                            (4, 2 ** 15 - 1, np.int16),
+                            (4, 2 ** 15, np.int32),
+                            (4, -2 ** 15 - 1, np.int32)]:
+        got = FaceLattice(*args[:i], value, *args[i + 1:])
+        want = args[:i] + [value] + args[i + 1:]
+        for name, w in zip(("ids", "dims", "child_ptr", "child_idx"), want):
+            x = getattr(got, name)
+            assert x.dtype == dtype and x.tolist() == list(w), (i, value)
+        assert got.next_id == want[4]
+    # a buffer (3 entries a face, one more pointer, the children) past
+    # 32,767 entries gives int32 although every value fits int16
+    for n_kids, dtype in ((0, np.int16), (1, np.int32)):
+        nf = 10_922  # 3 * nf + 1 == 2 ** 15 - 1
+        ptr = np.zeros(nf + 1, dtype=np.int64)
+        ptr[-1] = n_kids
+        got = FaceLattice(np.arange(nf), np.zeros(nf, dtype=int), ptr,
+                          np.zeros(n_kids, dtype=int), nf)
+        assert got._buf.size == 3 * nf + 1 + n_kids
+        assert got.ids.dtype == dtype and got.ids[-1] == nf - 1
 
 
 def test_split_ids_must_fit_int32():
@@ -431,18 +463,68 @@ def test_split_ids_must_fit_int32():
 
 
 def test_split_set_pickles_unchanged():
-    # worker processes send sets back pickled
+    # worker processes send sets back pickled; past next_id 32,767 the
+    # same split is stored in int32
     s = build_box_lattice([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    pos, _ = split_by_hyperplane(s, Hyperplane([1.0, 1.0, 1.0], -1.2))
-    back = pickle.loads(pickle.dumps(pos))
-    for name in ("ids", "dims", "child_ptr", "child_idx"):
-        x, y = getattr(back.lattice, name), getattr(pos.lattice, name)
-        assert x.dtype == y.dtype == np.int32 and np.array_equal(x, y), name
-    assert back.lattice.next_id == pos.lattice.next_id
-    for name in ("vertices", "region_vertices"):
-        x, y = getattr(back, name), getattr(pos, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-        assert not x.flags.writeable, name
+    lat = s.lattice
+    far = LatticeSet(FaceLattice(lat.ids, lat.dims, lat.child_ptr,
+                                 lat.child_idx, 40_000),
+                     s.vertices, s.region_vertices)
+    for start, dtype in ((s, np.int16), (far, np.int32)):
+        pos, _ = split_by_hyperplane(start, Hyperplane([1.0, 1.0, 1.0], -1.2))
+        back = pickle.loads(pickle.dumps(pos))
+        for name in ("ids", "dims", "child_ptr", "child_idx"):
+            x, y = getattr(back.lattice, name), getattr(pos.lattice, name)
+            assert x.dtype == y.dtype == dtype and np.array_equal(x, y), name
+            assert not x.flags.writeable, name
+        assert back.lattice.next_id == pos.lattice.next_id
+        for name in ("vertices", "region_vertices"):
+            x, y = getattr(back, name), getattr(pos, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            assert not x.flags.writeable, name
+
+
+def test_split_width_follows_next_id():
+    # cutting the square adds 3 faces (2 vertices and the section edge):
+    # from next_id 32,764 the sides end at 32,767 and stay int16, from
+    # 32,765 they pass it and are int32; either way every value equals
+    # that of the same split of an int32 copy of the square
+    s = build_box_lattice([-1.0, -1.0], [1.0, 1.0])
+    lat, h = s.lattice, Hyperplane([1.0, 0.5], 0.1)
+    for next_id, dtype in ((32_764, np.int16), (32_765, np.int32)):
+        near = FaceLattice(lat.ids, lat.dims, lat.child_ptr, lat.child_idx,
+                           next_id)
+        assert near.ids.dtype == np.int16
+        wide = FaceLattice._of_buffer(near._buf.astype(np.int32),
+                                      near.n_faces, next_id)
+        got = split_by_hyperplane(
+            LatticeSet(near, s.vertices, s.region_vertices), h)
+        want = split_by_hyperplane(
+            LatticeSet(wide, s.vertices, s.region_vertices), h)
+        for a, b in zip(got, want):
+            validate_set(a)
+            assert a.lattice.next_id == b.lattice.next_id == next_id + 3
+            for name in ("ids", "dims", "child_ptr", "child_idx"):
+                x, y = getattr(a.lattice, name), getattr(b.lattice, name)
+                assert x.dtype == dtype and y.dtype == np.int32, name
+                assert np.array_equal(x, y), name
+            assert a.vertices.tobytes() == b.vertices.tobytes()
+            assert a.region_vertices.tobytes() == b.region_vertices.tobytes()
+
+
+def test_dump_reload_dump_identical_at_both_widths():
+    s = build_box_lattice([-1.0, -1.0, -1.0], [1.0, 2.0, 0.5])
+    lat, h = s.lattice, Hyperplane([0.3, -1.0, 0.7], 0.2)
+    for next_id, dtype in ((lat.next_id, np.int16), (2 ** 15 - 1, np.int32)):
+        start = LatticeSet(FaceLattice(lat.ids, lat.dims, lat.child_ptr,
+                                       lat.child_idx, next_id),
+                           s.vertices, s.region_vertices)
+        halves = split_by_hyperplane(start, h)
+        text = ", ".join(sets_json(halves))
+        back = [set_from_dict(d) for d in json.loads(f"[{text}]")]
+        assert [b.lattice.ids.dtype for b in back] == [dtype, dtype]
+        assert ", ".join(sets_json(back)) == text
+        assert text == ", ".join(json.dumps(set_to_dict(x)) for x in halves)
 
 
 def test_dump_roundtrip(rng):

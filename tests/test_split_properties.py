@@ -291,7 +291,11 @@ def reference_validate_lattice(lat):
         raise LatticeError("top face is not unique")
     if np.any(lat.ids >= lat.next_id):
         raise LatticeError("next_id is not past every face id")
-    deg = np.diff(lat.child_ptr)
+    if lat.child_ptr[0] != 0:
+        raise LatticeError("child pointers do not start at 0")
+    if lat.child_ptr[-1] != lat.child_idx.size:
+        raise LatticeError("child pointers do not end at the child count")
+    deg = np.diff(lat.child_ptr.astype(np.int64))
     if np.any(deg[:nv] != 0):
         raise LatticeError("a 0-face has children")
     if nf > nv and np.any(deg[nv:] < 2):
@@ -323,7 +327,8 @@ def reference_validate_lattice(lat):
 def corrupted_lattices(draw):
     """An engine-made lattice with at most one edit: a child retargeted, a
     child entry dropped, a dim moved by one, an id duplicated, next_id
-    lowered or a child position made negative."""
+    lowered, a child position made negative or the first or last child
+    pointer moved by one."""
     lat = draw(split_cases())[0].lattice
     ids, dims = lat.ids.copy(), lat.dims.copy()
     ptr, kids = lat.child_ptr.copy(), lat.child_idx.copy()
@@ -331,7 +336,7 @@ def corrupted_lattices(draw):
     face = st.integers(0, nf - 1)
     entry = st.integers(0, kids.size - 1)
     # "none" last: Hypothesis leans towards the first choices
-    edits = ["id", "next_id", "dim", "none"]
+    edits = ["id", "next_id", "dim", "pointer", "none"]
     if kids.size:
         edits = ["retarget", "drop", "negative"] + edits
     edit = draw(st.sampled_from(edits))
@@ -361,6 +366,8 @@ def corrupted_lattices(draw):
         ids[draw(face)] = ids[draw(face)]
     elif edit == "next_id":
         next_id = draw(st.integers(int(ids.max()) - 2, next_id - 1))
+    elif edit == "pointer":
+        ptr[draw(st.sampled_from([0, -1]))] += draw(st.sampled_from([-1, 1]))
     return FaceLattice(ids, dims, ptr, kids, next_id)
 
 
