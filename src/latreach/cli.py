@@ -239,10 +239,7 @@ def _hull2d(points: np.ndarray) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        hull = [pts[0], pts[-1]]
-    return np.array(hull)
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def _int_option(text: str, option: str) -> int:

@@ -413,11 +413,12 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
     # old ones, then the sections (all-zero flags, so every side keeps
     # them), the section child of each source face and the children of
     # each new face; ids past int32 fail at next_id, checked when built.
-    # Old ids join intp ones, and a cut face has dim >= 1, so neither
-    # concatenation wraps in an int16 lattice
+    # Old ids join intp ones and dims are joined in intp, so nothing wraps
+    # in an int16 lattice, and _assemble_side sorts an intp key, which
+    # numpy's stable argsort takes faster than an int16 one
     flags = np.concatenate((flags, np.zeros(n_new, dtype=np.int8)))
     faces = (np.concatenate((lat.ids, lat.next_id - nf + new)),
-             np.concatenate((lat.dims, lat.dims[src] - 1)),
+             np.concatenate((lat.dims, lat.dims[src] - 1), dtype=np.intp),
              np.concatenate((owner, src, kid_owner)),
              np.concatenate((idx, new, kid)))
     return tuple(_assemble_side(s, flags != drop, *faces, new_verts,
@@ -432,9 +433,7 @@ def _assemble_side(s, keep, ids, dims, owner, kid, new_verts, new_regions):
     lat = s.lattice
     nf = lat.n_faces
     # final positions sorted by (dim, old-before-new, original order), so
-    # old kept vertex rows land first; 2 * dim + 1 cannot wrap in int16,
-    # as a valid lattice has more faces than its top_dim and an int16 one
-    # fewer than 11,000
+    # old kept vertex rows land first
     codes = keep.nonzero()[0]
     codes = codes[(2 * dims[codes] + (codes >= nf)).argsort(kind="stable")]
     n = codes.size
@@ -629,15 +628,20 @@ def set_from_dict(d: dict) -> LatticeSet:
     """Rebuild a set from :func:`set_to_dict` output.
 
     Vertex rows are matched to dim-0 face records in listing order.  A
-    duplicate face id, a child id that names no face, and a bool or
-    non-integral id, dim or child id raise LatticeError, and so does a set
-    that :func:`validate_set` rejects.
+    missing or malformed field, a duplicate face id, a child id that names
+    no face, and a bool or non-integral id, dim or child id raise
+    LatticeError, and so does a set that :func:`validate_set` rejects.
     """
-    recs = sorted(d["faces"], key=operator.itemgetter("dim"))  # stable
-    ids = [r["id"] for r in recs]
-    dims = [r["dim"] for r in recs]
-    n_kids = [len(r["children"]) for r in recs]
-    kids = list(itertools.chain.from_iterable(r["children"] for r in recs))
+    try:
+        recs = sorted(d["faces"], key=operator.itemgetter("dim"))  # stable
+        ids = [r["id"] for r in recs]
+        dims = [r["dim"] for r in recs]
+        n_kids = [len(r["children"]) for r in recs]
+        kids = list(itertools.chain.from_iterable(r["children"] for r in recs))
+        rows = d["vertices"], d["region"]
+    except (KeyError, TypeError):
+        _name_fault(d)
+        raise
     # one type scan; as_int converts 8.0 or raises for 8.7 and true
     if not set(map(type, itertools.chain(ids, dims, kids))) <= {int}:
         ids, dims, kids = ([as_int(x, what) for x in values]
@@ -657,6 +661,28 @@ def set_from_dict(d: dict) -> LatticeSet:
     if np.any(sorted_ids[at] != kid_ids):
         raise LatticeError("child id names no face")
     lat = FaceLattice(ids, dims, ptr, by_id[at], int(ids.max(initial=-1)) + 1)
-    s = LatticeSet(lat, d["vertices"], d["region"])
+    s = LatticeSet(lat, *rows)
     validate_set(s)
     return s
+
+
+def _name_fault(d) -> None:
+    """Raise a LatticeError naming the first field of set record ``d`` that
+    :func:`set_from_dict` cannot read, if there is one; it runs only once
+    that reading has failed, so a well-formed record pays for no check."""
+    _check_record(d, "set record", ("faces", "vertices", "region"))
+    for rec in d["faces"]:
+        _check_record(rec, "face record", ("children", "id", "dim"))
+        as_int(rec["dim"], "face dim")
+
+
+def _check_record(rec, what, keys):
+    """LatticeError unless ``rec`` is a JSON object that holds ``keys``,
+    the first of them an array."""
+    if not isinstance(rec, dict):
+        raise LatticeError(f"{what} is not a JSON object")
+    for k in keys:
+        if k not in rec:
+            raise LatticeError(f"{what} has no {k!r}")
+    if not isinstance(rec[keys[0]], list):
+        raise LatticeError(f"{what} {keys[0]!r} is not an array")

@@ -111,21 +111,21 @@ def _split(s, cut, coords, wanted, selection, stats):
     ``split_by_hyperplane`` takes it).  Returns ``(positive, negative)``:
     the children kept, None for a side dropped.  A ``wanted`` side survives
     when its coordinate in ``coords`` is selected (exact mode: all are);
-    when neither is, only the child with more vertices (tie: positive), so
-    both are built to compare.  Only sides that can survive are built, and
-    none means no split.  Each split adds 1 to ``stats["splits"]``."""
+    when neither is, only the side with more vertices (tie: positive), read
+    from the cut's masks before any side is built: a side keeps the rows
+    not strictly on the other, plus one per crossing edge.  Only survivors
+    are built (none: no split), and a split adds 1 to ``stats["splits"]``."""
     sel = ((True, True) if selection is None
            else selection.selected[list(coords)].tolist())
-    keep = [w and c for w, c in zip(wanted, sel)] if any(sel) else (True, True)
+    if not any(sel):
+        big = cut[1].sum() >= cut[2].sum()
+        sel = (big, not big)
+    keep = [w and c for w, c in zip(wanted, sel)]
     if not any(keep):
         return None, None
-    pos, neg = split_by_hyperplane(s, cut, keep)
     if stats is not None:
         stats["splits"] = stats.get("splits", 0) + 1
-    if not any(sel):
-        big = pos.n_vertices >= neg.n_vertices
-        keep = (wanted[0] and big, wanted[1] and not big)
-    return pos if keep[0] else None, neg if keep[1] else None
+    return split_by_hyperplane(s, cut, keep)
 
 
 def relu_layer_reach(inputs, selection: NeuronSelection | None = None,

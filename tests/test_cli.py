@@ -393,6 +393,13 @@ def test_backtrack_subcommand(tmp_path, capsys):
                         "--constraint", "1-0>=0"], capsys)
     assert code == 4 and "set id" in err
 
+    # --out holds the line backtrack prints
+    region = tmp_path / "region.json"
+    code, stdout, _ = run(["backtrack", "--result", str(out), "--set-id", "0",
+                           "--constraint", "0-1>=0.2", "--out", str(region)],
+                          capsys)
+    assert code == 0 and region.read_text() + "\n" == stdout
+
 
 def test_backtrack_bad_constraint(tmp_path, capsys):
     model = model_identity2(tmp_path)
@@ -435,7 +442,15 @@ def test_backtrack_bad_constraint(tmp_path, capsys):
     ("second_top", "top face is not unique"),
     ("vertex_dim_minus_1", "vertex positions contain non-vertex faces"),
     ("short_region", "region matrix rows do not match lattice vertices"),
-    ("short_vertices", "vertex matrix rows do not match lattice vertices")])
+    ("short_vertices", "vertex matrix rows do not match lattice vertices"),
+    # malformed fields name themselves, not Python's lookup or sort error
+    ("dim_string", "face dim must be an integer, got '1'"),
+    ("dim_null", "face dim must be an integer, got None"),
+    ("no_children", "face record has no 'children'"),
+    ("children_int", "face record 'children' is not an array"),
+    ("face_list", "face record is not a JSON object"),
+    ("faces_int", "set record 'faces' is not an array"),
+    ("no_region", "set record has no 'region'")])
 def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])
@@ -472,6 +487,20 @@ def test_corrupt_dump_exits_4(tmp_path, capsys, corrupt, message):
         faces[0]["dim"] = -1
     elif corrupt == "short_region":
         rec["region"] = rec["region"][:2]  # 4 values, as if 4 rows of 1
+    elif corrupt == "dim_string":
+        faces[4]["dim"] = "1"
+    elif corrupt == "dim_null":
+        faces[4]["dim"] = None
+    elif corrupt == "no_children":
+        del faces[4]["children"]
+    elif corrupt == "children_int":
+        faces[4]["children"] = 3
+    elif corrupt == "face_list":
+        faces[4] = list(faces[4].values())
+    elif corrupt == "faces_int":
+        rec["faces"] = 5
+    elif corrupt == "no_region":
+        del rec["region"]
     else:
         rec["vertices"] = rec["vertices"][:2]
     out.write_text(json.dumps(doc))
@@ -772,6 +801,32 @@ def test_project_subcommand(tmp_path, capsys):
         assert 0.0 - 1e-9 <= float(px) <= 1.0 + 1e-9
         assert 0.0 - 1e-9 <= float(py) <= 1.0 + 1e-9
     assert sorted(len(v) for v in per_set.values()) == [1, 2, 2, 4]
+
+
+def test_project_second_highest_axis(tmp_path, capsys):
+    # logits (x0 - x1, x0, x1) over [0.1, 0.9]^2: against class 0, the
+    # highest other logit is x0 at some corners and x1 at others
+    model = write(tmp_path / "three.json", json.dumps(
+        {"input_width": 2, "labels": ["a", "b", "c"],
+         "layers": [{"kind": "affine", "W": [[1, -1], [1, 0], [0, 1]],
+                     "b": [0, 0, 0]}]}))
+    out = tmp_path / "R.json"
+    run(["reach", "--model", model, "--input",
+         baseline_csv(tmp_path, [0.5, 0.5]), "--pixels", "0,1",
+         "--epsilon", "0.4", "--out", str(out)], capsys)
+    csv_path = tmp_path / "p.csv"
+    code, _, _ = run(["project", "--result", str(out), "--axes",
+                      "class:0,second", "--out", str(csv_path)], capsys)
+    assert code == 0
+    with open(csv_path, newline="") as f:
+        got = np.array([[float(x), float(y)]
+                        for _, _, x, y in list(csv.reader(f))[1:]])
+    V = np.array(json.loads(out.read_text())["sets"][0]["vertices"])
+    corners = np.column_stack((V[:, 0], V[:, 1:].max(axis=1)))
+    # every hull point is a corner's (logit 0, highest other logit)
+    assert all(np.isclose(corners, p).all(axis=1).any() for p in got)
+    assert np.allclose(sorted(got.tolist()),
+                       [[-0.8, 0.9], [0.0, 0.1], [0.8, 0.9]])
 
 
 def test_project_axis_errors(tmp_path, capsys):

@@ -462,9 +462,9 @@ POOL_RULES = {
     "both_selected": ("neg_larger", [True, True], [0, 1], 2),
     "x0_selected": ("neg_larger", [True, False], [0], 1),
     "x1_selected": ("pos_larger", [False, True], [1], 1),
-    "neither_pos_larger": ("pos_larger", [False, False], [0], 2),
-    "neither_neg_larger": ("neg_larger", [False, False], [1], 2),
-    "neither_tie": ("tie", [False, False], [0], 2),
+    "neither_pos_larger": ("pos_larger", [False, False], [0], 1),
+    "neither_neg_larger": ("neg_larger", [False, False], [1], 1),
+    "neither_tie": ("tie", [False, False], [0], 1),
 }
 
 

@@ -167,6 +167,44 @@ def test_labels_and_layers_must_be_arrays(tmp_path, key, value):
         load_model(write_model(tmp_path, doc))
 
 
+CONV = {"kind": "conv", "in_shape": [1, 2, 2], "filters": [[[[1.0]]]]}
+AFFINE = {"kind": "affine", "W": [[1, 0], [0, 1]], "b": [0, 0]}
+
+
+@pytest.mark.parametrize("layer, message", [
+    ({**CONV, "stride": 0}, "conv stride must be >= 1 and pad >= 0"),
+    ({**CONV, "bias": [0.0, 0.0]}, "conv bias length must equal filter count"),
+    ({**CONV, "filters": [[1.0]]}, "conv filters must be [k][c][fh][fw]"),
+    ({"kind": "batchnorm", "mean": [0] * 4, "var": [1, 1, -1, 1],
+      "gamma": [1] * 4, "beta": [0] * 4},
+     "batchnorm variance must be positive"),
+    ({**AFFINE, "W": [1, 0]}, "affine W must be a matrix"),
+    ({**AFFINE, "b": [0]}, "affine bias length mismatch"),
+    ({"kind": "relu", "width_out": 3}, "relu must preserve width"),
+    ({"kind": "relu", "width_in": 3},
+     "relu width 3 does not match running width 4"),
+    (None, "missing top-level key 'labels'")],
+    ids=["conv_stride", "conv_bias", "conv_filters", "bn_variance",
+         "affine_vector", "affine_bias", "relu_width_out", "relu_width_in",
+         "no_labels"])
+def test_model_file_errors_name_the_fault(tmp_path, capsys, layer, message):
+    doc = {"input_width": 4, "labels": ["a"] * 4, "layers": [layer]}
+    if layer is None:
+        del doc["labels"]
+    elif layer["kind"] == "affine":
+        doc.update(input_width=2, labels=["a", "b"])
+    path = write_model(tmp_path, doc)
+    with pytest.raises(ModelError) as err:
+        load_model(path)
+    assert message in str(err.value)
+    x = tmp_path / "x.csv"
+    x.write_text(",".join(["0.0"] * doc["input_width"]))
+    code = main(["reach", "--model", str(path), "--input", str(x),
+                 "--pixels", "0", "--epsilon", "0.1",
+                 "--out", str(tmp_path / "R.json")])
+    assert code == 4 and message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("top", ["[1, 2]", '"x"', "3", "null"],
                          ids=["array", "string", "number", "null"])
 def test_top_level_must_be_an_object(tmp_path, capsys, top):

@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latreach import (ZERO_TOL, FaceLattice, Hyperplane, LatticeError,
                       LatticeSet, affine_transform, build_box_lattice,
-                      classify_vertices, lattice, split_by_hyperplane,
-                      validate_lattice, validate_set)
+                      classify_vertices, lattice, layers,
+                      split_by_hyperplane, validate_lattice, validate_set)
 from latreach.lattice import coord_hyperplane, sides
-from latreach.layers import _pair_signs
+from latreach.layers import NeuronSelection, _pair_signs
 from conftest import hull_face_counts_3d, children_of, counts_by_dim
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -203,6 +203,33 @@ def test_split_reuses_the_callers_classification(case):
             got = split_by_hyperplane(s, cls, keep)
         for x, y in zip(got, want):
             _assert_bitwise_equal(x, y)
+
+
+@settings(PROPERTY, max_examples=400)  # about a third of the draws cross
+@given(split_cases())
+def test_larger_side_is_read_from_the_masks(case):
+    # each side keeps the rows not strictly on the other and gains one row
+    # per crossing edge, so the masks tell which side has more vertices
+    # (ties: positive), and a layer's split on two unselected coordinates
+    # builds that side alone, bit for bit
+    s, _, _, h = case
+    cut = classify_vertices(s, h)
+    if not (cut[1].any() and cut[2].any()):
+        return
+    pos, neg = split_by_hyperplane(s, cut)
+    assert (pos.n_vertices - neg.n_vertices
+            == cut[1].sum() - cut[2].sum())
+    big = pos.n_vertices >= neg.n_vertices
+    assert (cut[1].sum() >= cut[2].sum()) == big
+    stats = {}
+    with mock.patch.object(layers, "split_by_hyperplane",
+                           wraps=split_by_hyperplane) as split:
+        got = layers._split(s, cut, (0, 1), (True, True),
+                            NeuronSelection([False, False]), stats)
+    assert split.call_args.args[2] == [big, not big]
+    assert stats == {"splits": 1}
+    _assert_bitwise_equal(got[0], pos if big else None)
+    _assert_bitwise_equal(got[1], None if big else neg)
 
 
 def test_split_through_vertices_only():
