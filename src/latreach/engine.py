@@ -3,15 +3,16 @@ and result dumps.
 
 ``reach`` folds a list of sets through the network layer by layer.  The
 input box can be partitioned (repeated bisection of the widest perturbed
-coordinate) and partitions run independently, in-process or on a process
-pool; ``workers`` chooses only where they run, never the result.  Only a
-run that starts a pool imports it, and ``multiprocessing`` with it.  A
-partition stops once its deadline passes or more than ``max_sets`` of its
-sets are alive (``layers._expired``, checked at every pop of the one walker
-that runs ReLU and maxpool, after every maxpool split and after every
-layer); the run checks its set count after each partition.  Completed
-partitions are kept in order, the first truncated one ends the run, those
-not yet started are cancelled, and the result is flagged truncated.
+coordinate, until the deadline passes) and partitions run independently,
+in-process or on a process pool; ``workers`` chooses only where they run,
+never the result.  Only a run that starts a pool imports it, and
+``multiprocessing`` with it.  A partition stops once its deadline passes or
+more than ``max_sets`` of its sets are alive (``layers._expired``, checked
+at every pop of the one walker that runs ReLU and maxpool, before every
+split and after every layer); the run checks its set count after each
+partition.  Completed partitions are kept in order, the first truncated one
+ends the run, those not yet started are cancelled, and the result is
+flagged truncated.
 """
 
 from __future__ import annotations
@@ -102,18 +103,20 @@ def select_neurons(net: Network, spec: InputSpec, delta: float,
     return selections
 
 
-def _partition_box(lo, hi, k):
+def _partition_box(lo, hi, k, deadline=np.inf):
     """Split [lo, hi] into k leaves by bisecting the widest coordinate.
 
     Always bisects the widest leaf, the leftmost of equally wide ones (one
     heap keyed by (-width, left/right path from the root)); stops early
-    when every leaf has zero width.  Leaves come back in spatial order.
+    when every leaf has zero width or ``deadline`` (``time.monotonic``) has
+    passed.  Leaves come back in spatial order.
     """
     def leaf(path, l, h):
         return -float((h - l).max()), path, l, h
 
     heap = [leaf((), np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))]
-    while len(heap) < k and heap[0][0] < 0.0:
+    while (len(heap) < k and heap[0][0] < 0.0
+           and time.monotonic() <= deadline):
         _, path, l, h = heapq.heappop(heap)
         axis = int(np.argmax(h - l))
         mid = 0.5 * (l[axis] + h[axis])
@@ -167,7 +170,7 @@ def reach(net: Network, spec: InputSpec, cfg: ReachConfig,
 
     centers = spec.baseline[list(spec.perturbed_coords)]
     parts = _partition_box(centers - spec.epsilon, centers + spec.epsilon,
-                           cfg.partitions)
+                           cfg.partitions, deadline)
     run = partial(_propagate_partition, net, spec, selections, deadline,
                   cfg.max_sets)
 

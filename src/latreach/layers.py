@@ -4,17 +4,17 @@ Each function maps a list of LatticeSets to the list of their images under
 one layer.  ReLU and maxpool are each one step on one set, run depth first
 by one walker (``_walk``) that checks the budget at every pop.  Both split
 through one helper (``_split``) on the cut ``(values, pos, neg)`` their own
-sign pass gives, so no layer classifies a vertex; ``_split`` counts the
-splits and applies the fast-mode survivor rule.  A ReLU step only branches
-on a neuron whose hyperplane crosses the set.  A maxpool piece makes one
-pair-sign pass (``_pair_signs``) over the windows of the pools it has not
-passed, read once by ``_pair_results``, the one rule for comparison
-outcomes.  The reading settles every pool one coordinate wins on every
-comparison; only the other pools enumerate the linearity domains where one
-pool coordinate dominates the others, cutting on that pass's columns.
-In fast mode a NeuronSelection marks the neurons treated exactly; a split
-on the rest keeps a single child, so fast outputs are always faces of
-exact outputs rather than new geometry.
+sign pass gives, so no layer classifies a vertex; ``_split`` checks the
+budget first, counts the splits and applies the fast-mode survivor rule.  A
+ReLU step only branches on a neuron whose hyperplane crosses the set.  A
+maxpool piece makes one pair-sign pass (``_pair_signs``) over the windows
+of the pools it has not passed, read once by ``_pair_results``, the one
+rule for comparison outcomes.  The reading settles every pool one
+coordinate wins on every comparison; only the other pools enumerate the
+linearity domains where one pool coordinate dominates the others, cutting
+on that pass's columns.  In fast mode a NeuronSelection marks the neurons
+treated exactly; a split on the rest keeps a single child, so fast outputs
+are always faces of exact outputs rather than new geometry.
 """
 
 from __future__ import annotations
@@ -112,9 +112,12 @@ def _split(s, cut, coords, wanted, selection, stats):
     the children kept, None for a side dropped.  A ``wanted`` side survives
     when its coordinate in ``coords`` is selected (exact mode: all are);
     when neither is, only the side with more vertices (tie: positive), read
-    from the cut's masks before any side is built: a side keeps the rows
-    not strictly on the other, plus one per crossing edge.  Only survivors
-    are built (none: no split), and a split adds 1 to ``stats["splits"]``."""
+    from the cut's masks before any side is built: a side keeps the rows not
+    strictly on the other, plus one per crossing edge.  Only survivors are
+    built (none, or ``stats`` expired: no split), and a split adds 1 to
+    ``stats["splits"]``."""
+    if _expired(stats):
+        return None, None
     sel = ((True, True) if selection is None
            else selection.selected[list(coords)].tolist())
     if not any(sel):
@@ -202,11 +205,8 @@ def _domain_chain(s, pool, k, selection, stats, signs, results):
     ``_pair_results`` reading decides the comparisons the piece does not
     cross: ``signs`` and ``results`` on ``s`` (None: the chain makes them),
     then one new pass and reading per split piece a later cut needs.
-    Returns None when the domain dies or ``stats`` expires, before or
-    during the chain.
+    Returns None when the domain dies.
     """
-    if _expired(stats):
-        return None
     t = s
     for p, (i, j) in enumerate(_PAIRS):
         if k not in (i, j) or j >= len(pool.dims):
@@ -222,7 +222,7 @@ def _domain_chain(s, pool, k, selection, stats, signs, results):
         pos, neg = _split(t, cut, (pool.dims[i], pool.dims[j]),
                           (want_pos, not want_pos), selection, stats)
         t, signs = pos if want_pos else neg, None
-        if t is None or _expired(stats):
+        if t is None:
             return None
     return t
 
@@ -253,10 +253,10 @@ def _pool_domains(s, pool, selection, stats, signs, results):
 def maxpool_pool_reach(inputs, pool: PoolSpec,
                        selection: NeuronSelection | None = None,
                        stats: dict | None = None):
-    """Propagate sets through a single pool.
-
-    Output columns are the unpooled coordinates with the winning pool
-    coordinate inserted at position ``pool.out``.
+    """Propagate sets through a single pool, with no walker: once ``stats``
+    has expired, a set the pool does not cross still gives its one domain
+    (no split), and a crossed set none.  Output columns are the unpooled
+    coordinates with the winning pool coordinate inserted at ``pool.out``.
     """
     _check_selection(selection, inputs)
     out = []

@@ -897,6 +897,47 @@ def test_usage_and_error_exit_codes(tmp_path, capsys):
     assert code == 4 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "falsify"])
+def test_one_label_model_exits_4(tmp_path, capsys, command):
+    # a model file may hold one label, but no verdict can be wrong
+    doc = {"input_width": 2, "labels": ["a"],
+           "layers": [{"kind": "affine", "W": [[1, 1]], "b": [0]}]}
+    model = write(tmp_path / "one.json", json.dumps(doc))
+    x = baseline_csv(tmp_path, [0.5, 0.5])
+    argv = {"verify": verify_args(model, x, 0.1),
+            "falsify": ["falsify", "--model", model, "--image", x,
+                        "--epsilon", "0.1", "--max-pixels", "2"]}[command]
+    code, stdout, err = run(argv, capsys)
+    noun = {"verify": "verification", "falsify": "falsification"}[command]
+    assert (code, stdout) == (4, "")
+    assert err.strip() == f"error: {noun} needs at least two classes"
+
+
+def test_dump_with_a_non_string_key_exits_4(tmp_path, capsys):
+    # the streamed reader fails with json.loads' own message
+    text = '{"mode": "exact", 1: 2, "sets": []}'
+    dump = write(tmp_path / "R.json", text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    code, stdout, err = run(["backtrack", "--result", dump, "--set-id", "0",
+                             "--constraint", "1-0>=0"], capsys)
+    assert (code, stdout) == (4, "")
+    assert err.strip() == f"error: {want.value}"
+    code, stdout, err = run(["project", "--result", dump, "--axes", "0,1",
+                             "--out", str(tmp_path / "p.csv")], capsys)
+    assert (code, stdout) == (4, "") and err.strip() == f"error: {want.value}"
+
+
+def test_falsify_shape_must_match_the_input_width(tmp_path):
+    # the CLI checks --shape against the image first, so only a library
+    # caller reaches this check
+    net = latreach.load_model(model_two_pixel_race(tmp_path))
+    with pytest.raises(ModelError,
+                       match=r"shape \(1, 2, 3\) does not match input width 4"):
+        latreach.cli.falsify(net, [0.9, 0.5, 0.5, 0.2], 0.5, 1.0, 4,
+                             shape=(1, 2, 3))
+
+
 def test_hull2d_matches_qhull(rng):
     for trial in range(12):
         pts = rng.normal(size=(int(rng.integers(5, 40)), 2))

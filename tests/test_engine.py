@@ -1,6 +1,7 @@
 """End-to-end reachability runs, neuron selection, backtracking, dumps."""
 
 import concurrent.futures
+import itertools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +310,31 @@ def test_many_partitions_respect_the_timeout():
     res = reach(net, spec, ReachConfig(partitions=4000, timeout=0.05))
     assert time.perf_counter() - t0 < 1.0
     assert res.truncated and res.partitions_done < 4000
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_partition_builder_stops_at_the_deadline(monkeypatch, n):
+    # 100,000 leaves took 1.1 s to build on a 2-CPU machine before the
+    # builder read the deadline; this clock passes it at its (n + 1)-th
+    # read, and reach's own read sets it, so the builder makes n leaves and
+    # the first partition expires
+    net, spec = wide_relu_net()
+    reads = itertools.count(1)
+    clock = SimpleNamespace(monotonic=lambda: 0.0 if next(reads) <= n else 1.0,
+                            perf_counter=time.perf_counter)
+    monkeypatch.setattr(latreach.engine, "time", clock)
+    monkeypatch.setattr(latreach.layers, "time", clock)
+    built = []
+
+    def build(*args):
+        built.append(_partition_box(*args))
+        return built[-1]
+
+    monkeypatch.setattr(latreach.engine, "_partition_box", build)
+    res = reach(net, spec, ReachConfig(partitions=100_000, timeout=0.05))
+    assert len(built) == 1 and len(built[0]) == n
+    assert res.truncated and res.set_count == 0
+    assert res.partitions_done == 0
 
 
 class RecordingPool:

@@ -123,6 +123,14 @@ def test_split_one_sided_returns_original():
     assert pos is None and neg is s
 
 
+def test_split_hyperplane_must_match_the_set_width():
+    s = build_box_lattice([0.0, 0.0], [1.0, 1.0])
+    for normal in ([1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(LatticeError,
+                           match="hyperplane dimension does not match set"):
+            split_by_hyperplane(s, Hyperplane(normal, -0.5))
+
+
 def test_split_all_zero_goes_positive():
     s = build_box_lattice([0.0, -1.0], [0.0, 1.0])
     pos, neg = split_by_hyperplane(s, Hyperplane([1.0, 0.0], 0.0))

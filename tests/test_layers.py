@@ -1,9 +1,11 @@
 """Layer propagation tests: ReLU recursion, maxpool domains, fast mode."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latreach import (LatticeError, LatticeSet, Hyperplane, PoolSpec, NeuronSelection,
                       ModelError, build_box_lattice, affine_transform,
@@ -169,7 +171,7 @@ def test_layers_stop_once_stats_expire(monkeypatch):
         assert "splits" not in stats
         assert run({})
     # the deadline passes at the first split: the first domain chain of the
-    # first set stops after it, no later chain starts, and the second set,
+    # first set stops after it, no later split starts, and the second set,
     # where the domain of the constant x2 needs no split, is not started
     stats = {"deadline": np.inf}
     split = layers.split_by_hyperplane
@@ -181,6 +183,68 @@ def test_layers_stop_once_stats_expire(monkeypatch):
     monkeypatch.setattr(layers, "split_by_hyperplane", split_past_deadline)
     assert maxpool_layer_reach(sets, layer, None, stats) == []
     assert "expired" in stats and stats["splits"] == 1
+
+
+@st.composite
+def budget_runs(draw):
+    """``run(stats)``: a ReLU or a maxpool layer (2- to 4-coordinate pools)
+    over one or two random sets, in exact mode or with a partial
+    selection."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        layer, width = None, draw(st.integers(2, 6))
+    else:
+        sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+        width = sum(sizes)
+        dims = draw(st.permutations(range(width)))
+        outs = draw(st.permutations(range(len(sizes))))
+        starts = np.cumsum([0] + sizes)
+        layer = maxpool_layer([PoolSpec(dims[a:z], o) for a, z, o
+                               in zip(starts, starts[1:], outs)])
+    floats = st.floats(-1, 1, allow_nan=False, allow_subnormal=False)
+    sets = [affine_transform(
+        build_box_lattice(-np.ones(d), np.ones(d)),
+        np.array(draw(st.lists(floats, min_size=width * d,
+                               max_size=width * d))).reshape(width, d),
+        0.5 * np.array(draw(st.lists(floats, min_size=width,
+                                     max_size=width))))
+        for _ in range(draw(st.integers(1, 2)))]
+    sel = None
+    if draw(st.booleans()):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=width,
+                                      max_size=width)))
+        # partial: flip one entry of an all-True or all-False mask
+        mask[draw(st.integers(0, width - 1))] ^= mask.all() | ~mask.any()
+        sel = NeuronSelection(mask)
+    if layer is None:
+        return lambda stats: relu_layer_reach(sets, sel, stats)
+    return lambda stats: maxpool_layer_reach(sets, layer, sel, stats)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(budget_runs(), st.data())
+def test_no_split_starts_past_the_budget(run, data):
+    # a deadline that passes during the m-th of the T splits an uncut run
+    # makes leaves exactly m splits: _split checks the budget before each
+    stats = {}
+    run(stats)
+    m = data.draw(st.integers(1, max(stats.get("splits", 0), 1)))
+    stats, calls, split = {}, [], layers.split_by_hyperplane
+
+    def split_past_deadline(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == m:
+            stats["deadline"] = -np.inf
+        return split(*args, **kwargs)
+
+    with mock.patch.object(layers, "split_by_hyperplane",
+                           split_past_deadline):
+        run(stats)
+    if calls:
+        assert stats["splits"] == m and "expired" in stats
+    else:  # the uncut run made no split either
+        assert "splits" not in stats and "expired" not in stats
 
 
 def test_relu_set_cap_stops_inside_the_layer():
@@ -317,6 +381,13 @@ def test_maxpool_domain_bound(rng):
             validate_set(o)
             want = (o.region_vertices @ W.T + b).max(axis=1)
             assert np.allclose(o.vertices[:, 0], want, atol=1e-9)
+
+
+def test_maxpool_pool_coordinate_past_the_set_width():
+    # a PoolSpec alone does not know the width it will meet
+    s = build_box_lattice([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(LatticeError, match="pool coordinate out of range"):
+        maxpool_pool_reach([s], PoolSpec((0, 2), 0))
 
 
 def test_maxpool_pool_keeps_passthrough_columns():

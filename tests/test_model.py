@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from latreach import (ModelError, InputSpec, ReachConfig, load_model,
-                      forward, gradient, reach, write_flrw, validate_set)
+from latreach import (ModelError, InputSpec, LayerDesc, Network, PoolSpec,
+                      ReachConfig, load_model, forward, gradient, reach,
+                      write_flrw, validate_set)
 from latreach.cli import main
 from latreach.model import _read_flrw, embed_box
 
@@ -183,10 +184,12 @@ AFFINE = {"kind": "affine", "W": [[1, 0], [0, 1]], "b": [0, 0]}
     ({"kind": "relu", "width_out": 3}, "relu must preserve width"),
     ({"kind": "relu", "width_in": 3},
      "relu width 3 does not match running width 4"),
+    ({"kind": "maxpool", "pools": [{"dims": [-1, 0, 1, 2], "out": 0}]},
+     "negative pool index"),
     (None, "missing top-level key 'labels'")],
     ids=["conv_stride", "conv_bias", "conv_filters", "bn_variance",
          "affine_vector", "affine_bias", "relu_width_out", "relu_width_in",
-         "no_labels"])
+         "maxpool_negative_index", "no_labels"])
 def test_model_file_errors_name_the_fault(tmp_path, capsys, layer, message):
     doc = {"input_width": 4, "labels": ["a"] * 4, "layers": [layer]}
     if layer is None:
@@ -435,6 +438,37 @@ def test_input_set_dimension_cap():
     with pytest.raises(Exception):
         embed_box(InputSpec(base, tuple(range(12)), 0.1), base[:12] - 0.1,
                   base[:12] + 0.1)
+
+
+def two_label_net():
+    return Network((LayerDesc("affine", 2, 2, np.eye(2), np.zeros(2)),),
+                   2, ("a", "b"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: forward(two_label_net(), [1.0, 2.0, 3.0]),
+     "input length 3, expected 2"),
+    (lambda: gradient(two_label_net(), [1.0], 0), "input length 1, expected 2"),
+    (lambda: gradient(two_label_net(), [1.0, 2.0], 2),
+     "logit index 2 out of range"),
+    (lambda: gradient(two_label_net(), [1.0, 2.0], -1),
+     "logit index -1 out of range"),
+    (lambda: LayerDesc("softmax", 2, 2), "unsupported layer kind 'softmax'"),
+    (lambda: LayerDesc("maxpool", 4, 2, pools=(PoolSpec((0, 1, 2, 3), 0),)),
+     "maxpool width_out must equal pool count"),
+    (lambda: Network((LayerDesc("relu", 2, 2), LayerDesc("relu", 3, 3)), 2,
+                     ("a", "b", "c")),
+     "layer 1 expects width 3, previous width is 2")],
+    ids=["forward_length", "gradient_length", "gradient_logit_high",
+         "gradient_logit_negative", "layer_kind", "maxpool_width_out",
+         "widths_do_not_chain"])
+def test_library_checks_name_the_fault(build, message):
+    # checks only a library caller reaches: the CLI checks input lengths
+    # first, and load_model builds only the layer kinds it knows, sizes each
+    # maxpool by its pools and chains the widths
+    with pytest.raises(ModelError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_input_spec_validation(tmp_path):

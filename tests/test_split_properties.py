@@ -30,15 +30,26 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 
 
 def _plane(draw, s, normals):
-    """A cutting plane for ``s``, biased towards degenerate positions."""
+    """A cutting plane for ``s``, biased towards degenerate positions and
+    towards planes through the set, which cross it unless it is flat."""
     d = s.ambient_dim
     V = s.vertices
-    kind = draw(st.sampled_from(["random", "vertex", "two_vertices",
-                                 "parallel"]))
+    kind = draw(st.sampled_from(["interior", "interior", "random", "vertex",
+                                 "two_vertices", "parallel"]))
     if kind == "random":
         a = np.array(draw(st.lists(st.floats(-1, 1), min_size=d,
                                    max_size=d)))
         b = draw(st.floats(-1, 1))
+    elif kind == "interior":
+        # through a convex combination of every vertex: a relative interior
+        # point of the set
+        a = np.array(draw(st.lists(st.integers(-2, 2), min_size=d,
+                                   max_size=d)), dtype=float)
+        if not np.any(a):
+            a[draw(st.integers(0, d - 1))] = 1.0
+        w = np.array(draw(st.lists(st.integers(1, 3), min_size=len(V),
+                                   max_size=len(V))), dtype=float)
+        b = -float(a @ (w @ V) / w.sum())
     else:
         if kind == "parallel":
             a = draw(st.sampled_from(normals + [np.eye(d)[k]
@@ -205,7 +216,7 @@ def test_split_reuses_the_callers_classification(case):
             _assert_bitwise_equal(x, y)
 
 
-@settings(PROPERTY, max_examples=400)  # about a third of the draws cross
+@settings(PROPERTY, max_examples=400)  # about 3 in 5 draws cross
 @given(split_cases())
 def test_larger_side_is_read_from_the_masks(case):
     # each side keeps the rows not strictly on the other and gains one row
