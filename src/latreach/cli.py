@@ -217,12 +217,24 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
                    info=info)
 
 
+def _unique_rows(points: np.ndarray) -> np.ndarray:
+    """``np.unique(points, axis=0)`` of finite points, by a lexsort."""
+    rows = points[np.lexsort(points.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    # among rows equal but for the sign of a zero, np.unique keeps the one
+    # its unstable sort puts first: ask it
+    if (np.signbit(rows) != np.signbit(rows[first])[first.cumsum() - 1]).any():
+        return np.unique(points, axis=0)
+    return rows[first]
+
+
 def _hull2d(points: np.ndarray) -> np.ndarray:
     """Counterclockwise convex hull by monotone chain.
 
     Collinear inputs degrade to the two lexicographic extremes.
     """
-    pts = np.unique(points, axis=0)
+    pts = _unique_rows(points)
     if pts.shape[0] <= 2:
         return pts
 
@@ -278,29 +290,41 @@ def _axis_values(V: np.ndarray, axis, ref_class):
     return V[:, arg]
 
 
-def emit_projection(sets, axes, path) -> None:
-    """Write per-set 2D hull polygons as CSV rows (set_id,vertex_order,x,y).
+def _axis_fault(s, ax) -> str | None:
+    """Why the parsed axes ``ax`` cannot project set ``s``, if they cannot."""
+    for kind, arg in ax:
+        if arg is not None and not 0 <= arg < s.ambient_dim:
+            return (f"axis index {arg} out of range "
+                    f"({s.ambient_dim} coordinates)")
+        if kind == "second" and s.ambient_dim < 2:
+            return "second_highest needs two coordinates"
+    return None
 
+
+def emit_projection(sets, axes, path) -> int:
+    """Write per-set 2D hull polygons as CSV rows (set_id,vertex_order,x,y)
+    and return the number of sets.
+
+    ``sets`` may be an iterator: only each set's projected points are kept.
     Every axis is checked against every set before ``path`` is opened, so
     bad axes leave ``path`` untouched.
     """
     ax, ref = _parse_axes(axes)
-    for s in sets:
-        for kind, arg in ax:
-            if arg is not None and not 0 <= arg < s.ambient_dim:
-                raise ModelError(f"axis index {arg} out of range "
-                                 f"({s.ambient_dim} coordinates)")
-            if kind == "second" and s.ambient_dim < 2:
-                raise ModelError("second_highest needs two coordinates")
+    points, fault, n = [], None, 0
+    for n, s in enumerate(sets, 1):
+        fault = fault or _axis_fault(s, ax)
+        if fault is None:
+            points.append(np.column_stack([_axis_values(s.vertices, a, ref)
+                                           for a in ax]))
+    if fault is not None:
+        raise ModelError(fault)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["set_id", "vertex_order", "x", "y"])
-        for sid, s in enumerate(sets):
-            xs = _axis_values(s.vertices, ax[0], ref)
-            ys = _axis_values(s.vertices, ax[1], ref)
-            hull = _hull2d(np.column_stack([xs, ys]))
-            for order, (x, y) in enumerate(hull):
+        for sid, p in enumerate(points):
+            for order, (x, y) in enumerate(_hull2d(p)):
                 w.writerow([sid, order, repr(float(x)), repr(float(y))])
+    return n
 
 
 def load_input_vector(path, shape=None) -> np.ndarray:
@@ -448,17 +472,19 @@ def _write_result(path, res, cfg: ReachConfig) -> None:
         raise
 
 
-def _read_sets(path, set_id: int | None = None) -> list:
+def _iter_sets(path, set_id: int | None = None):
     """Rebuild the sets of a result dump, or only set ``set_id`` of it, one
-    record at a time; the whole file is parsed either way."""
-    sets = []
+    record at a time; every other record is checked, not decoded."""
     n = 0
-    for n, rec in enumerate(iter_set_records(path), 1):
+    for n, rec in enumerate(iter_set_records(path, set_id), 1):
         if set_id is None or n - 1 == set_id:
-            sets += sets_from_dict({"sets": [rec]})
+            yield from sets_from_dict({"sets": [rec]})
     if set_id is not None and not 0 <= set_id < n:
         raise ModelError(f"set id {set_id} out of range ({n} sets)")
-    return sets
+
+
+def _read_sets(path, set_id: int | None = None) -> list:
+    return list(_iter_sets(path, set_id))
 
 
 def _dispatch(args) -> int:
@@ -514,9 +540,8 @@ def _dispatch(args) -> int:
     if args.command == "project":
         axes = args.axes.split(",")
         _parse_axes(axes)  # malformed axes fail before the dump is read
-        sets = _read_sets(args.result)
-        emit_projection(sets, axes, args.out)
-        print(json.dumps({"sets": len(sets), "out": args.out}))
+        n = emit_projection(_iter_sets(args.result), axes, args.out)
+        print(json.dumps({"sets": n, "out": args.out}))
         return 0
 
     raise ModelError(f"unknown command {args.command}")

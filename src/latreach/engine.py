@@ -26,8 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import (LatticeSet, as_int, split_by_hyperplane, set_to_dict,
-                      set_from_dict, sets_json)
+from .lattice import (LatticeSet, as_int, record_grammar, set_from_dict,
+                      set_to_dict, sets_json, split_by_hyperplane)
 from .layers import (NeuronSelection, affine_layer_reach, relu_layer_reach,
                      maxpool_layer_reach, _expired)
 from .model import (Network, InputSpec, ModelError, Gradients, embed_box,
@@ -253,26 +253,56 @@ def write_result(f, result: ReachResult, mode: str, relaxation: float) -> None:
 _BLANKS = re.compile(r"[ \t\n\r]*")
 _CHUNK = 1 << 16  # characters read at a time by iter_set_records
 _NUMBER_TAIL = "0123456789.eE+-"
+# a decode error at most this many characters before the window's end may
+# come from the cut: "-Infinit" fails at its "-"
+_CUT = 8
 
 
 class _Window:
     """The unread part of a text file, refilled on demand and consumed one
-    JSON value or one structural character at a time."""
+    JSON value or one structural character at a time.
+
+    ``start`` characters precede ``buf`` in the file, ``lines`` newlines
+    among them, the last at ``newline`` (-1 if none), so an error names its
+    place in the file as ``json.loads`` would.
+    """
 
     def __init__(self, f):
         self.f, self.buf, self.pos, self.eof = f, "", 0, False
+        self.start, self.lines, self.newline = 0, 0, -1
         self.decode = json.JSONDecoder().raw_decode
 
-    def _fill(self) -> bool:
+    def fill(self) -> bool:
         """Drop what is consumed and read at least as much as is left, so a
         large value costs linear time; False at the end of the file."""
+        last = self.buf.rfind("\n", 0, self.pos)
+        if last >= 0:
+            self.lines += self.buf.count("\n", 0, self.pos)
+            self.newline = self.start + last
+        self.start += self.pos
         more = self.f.read(max(_CHUNK, len(self.buf) - self.pos))
         self.buf, self.pos = self.buf[self.pos:] + more, 0
         self.eof = not more
         return not self.eof
 
-    def fail(self, what: str):
-        raise json.JSONDecodeError(f"Expecting {what}", self.buf, self.pos)
+    def ready(self) -> None:
+        """Hold at least ``_CHUNK`` unread characters or the rest of the
+        file, so a value shorter than that is never cut."""
+        if len(self.buf) - self.pos < _CHUNK and not self.eof:
+            self.fill()
+
+    def error(self, msg: str, at: int) -> json.JSONDecodeError:
+        """``json.loads``' error for the whole file at ``buf[at]``."""
+        e = json.JSONDecodeError(msg, self.buf, at)
+        last = self.buf.rfind("\n", 0, at)
+        e.pos = self.start + at
+        e.lineno = self.lines + self.buf.count("\n", 0, at) + 1
+        e.colno = e.pos - (self.start + last if last >= 0 else self.newline)
+        e.args = (f"{msg}: line {e.lineno} column {e.colno} (char {e.pos})",)
+        return e
+
+    def fail(self, msg: str):
+        raise self.error(msg, self.pos)
 
     def peek(self) -> str:
         """The next non-blank character, not consumed ('' at the end)."""
@@ -280,32 +310,47 @@ class _Window:
             self.pos = _BLANKS.match(self.buf, self.pos).end()
             if self.pos < len(self.buf):
                 return self.buf[self.pos]
-            if not self._fill():
+            if not self.fill():
                 return ""
+
+    def ahead(self, allowed: str, what: str) -> str:
+        """The next non-blank character, one of ``allowed``, not consumed."""
+        c = self.peek()
+        if not c or c not in allowed:
+            self.fail(f"Expecting {what}")
+        return c
 
     def take(self, allowed: str, what: str) -> str:
         """Consume the next non-blank character, one of ``allowed``."""
-        c = self.peek()
-        if not c or c not in allowed:
-            self.fail(what)
+        c = self.ahead(allowed, what)
         self.pos += 1
         return c
 
-    def value(self):
-        """Decode the next value.  The window may end inside it, and a cut
-        number still decodes, so a value counts only when the window holds
-        a next character that cannot continue a number."""
+    def value(self, grammar=None):
+        """Decode the next value; with a ``grammar``, only check it and
+        return None, undecoded if the grammar matches it.  The window may
+        end inside the value: a decode error within ``_CUT`` characters of
+        the window's end or an unterminated string is retried on a larger
+        window, and since a cut number still decodes, a value counts only
+        when the window holds a next character that cannot continue a
+        number."""
         self.peek()
+        self.ready()
+        m = grammar and grammar.match(self.buf, self.pos)
+        if m:
+            self.pos = m.end()
+            return None
         while True:
             try:
                 val, end = self.decode(self.buf, self.pos)
                 if self.eof or self.buf[end:end + 1] not in _NUMBER_TAIL:
                     self.pos = end
-                    return val
-            except json.JSONDecodeError:
-                if self.eof:
-                    raise
-            self._fill()
+                    return None if grammar else val
+            except json.JSONDecodeError as e:
+                if self.eof or (len(self.buf) - e.pos > _CUT and not
+                                e.msg.startswith("Unterminated string")):
+                    raise self.error(e.msg, e.pos) from None
+            self.fill()
 
     def entries(self, close: str):
         """Step through a comma-separated sequence whose opening bracket is
@@ -318,41 +363,55 @@ class _Window:
             if self.take("," + close, "',' delimiter") == close:
                 return
 
+    def end(self) -> None:
+        if self.peek():
+            self.fail("Extra data")
 
-def iter_set_records(path):
+
+def iter_set_records(path, only: int | None = None):
     """Yield the records of the ``sets`` array of a result dump one by one.
 
-    The file is read in chunks and every other value is decoded and
-    dropped, so memory holds one chunk and one record, never the whole
-    document.  Keys may come in any order and with any whitespace.  Any
-    malformed JSON raises the ``json.JSONDecodeError`` that ``json.loads``
-    gives for the file; a well-formed document without exactly one ``sets``
-    key, or whose ``sets`` is not an array, raises ValueError at its end.
+    The file is read in chunks, so memory holds one chunk and one record,
+    never the whole document.  Every record is decoded, or with ``only``
+    just record ``only``: the others are checked against the grammar of
+    the records this program writes (``lattice.record_grammar``), decoded
+    only when it does not match, and come out as None.  Keys may come in
+    any order and with any whitespace.  Malformed JSON raises the
+    ``json.JSONDecodeError`` that ``json.loads`` gives for the file, as
+    soon as the reader meets it, and a record is yielded only once the
+    character after it is read; a well-formed document without exactly
+    one ``sets`` key, or whose ``sets`` is not an array, raises ValueError
+    at its end.
     """
+    grammar = record_grammar() if only is not None else None
     keys, array = 0, False
-    with open(path) as f:
+    with open(path, newline="") as f:  # offsets count a \r\n as 2
         w = _Window(f)
-        try:
-            w.take("{", "'{'")
-            for _ in w.entries("}"):
-                key = w.value()
-                if not isinstance(key, str):
-                    w.fail("property name enclosed in double quotes")
-                w.take(":", "':' delimiter")
-                keys += key == "sets"
-                if key != "sets" or keys > 1 or w.peek() != "[":
-                    w.value()
-                    continue
-                array = True
-                w.take("[", "'['")
-                for _ in w.entries("]"):
-                    yield w.value()
-            if w.peek():
-                w.fail("end of data")
-        except json.JSONDecodeError:
-            f.seek(0)
-            json.loads(f.read())  # raises with json.loads' message, if any
-            raise
+        w.fill()
+        if w.buf.startswith("\ufeff"):
+            raise w.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        if w.peek() != "{":
+            err = w.error("Expecting '{'", w.pos)
+            w.value()  # json.loads' own error first, if the file has one
+            w.end()
+            raise err
+        w.pos += 1
+        for _ in w.entries("}"):
+            if w.peek() != '"':
+                w.fail("Expecting property name enclosed in double quotes")
+            key = w.value()
+            w.take(":", "':' delimiter")
+            keys += key == "sets"
+            if key != "sets" or keys > 1 or w.peek() != "[":
+                w.value()
+                continue
+            array = True
+            w.pos += 1
+            for i, _ in enumerate(w.entries("]")):
+                rec = w.value(None if i == only else grammar)
+                w.ahead(",]", "',' delimiter")  # before the caller reads it
+                yield rec
+        w.end()
     if not keys:
         raise ValueError("result dump has no 'sets' array")
     if keys > 1:

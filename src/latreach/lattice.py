@@ -30,6 +30,7 @@ import functools
 import itertools
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -550,14 +551,52 @@ def set_to_dict(s: LatticeSet) -> dict:
 DUMP_CHUNK_VALUES = 1 << 13
 
 
+# the literal text of a set record and of a face record around their
+# values, and the separator of every array, shared by the templates below
+# and by record_grammar
+_SET_TEXT = ('{"faces": [', '], "vertices": [', '], "region": [', "]}")
+_FACE_TEXT = ('{"id": ', ', "dim": ', ', "children": [', "]}")
+_SEP = ", "
+
+
 @functools.lru_cache(maxsize=1 << 10)
 def _face_template(dim: int, n_kids: int) -> str:
-    kids = ", ".join(["%d"] * n_kids)
-    return f'{{"id": %d, "dim": {dim}, "children": [{kids}]}}'
+    head, dim_key, kids_key, end = _FACE_TEXT
+    return (head + "%d" + dim_key + str(dim) + kids_key
+            + _SEP.join(["%d"] * n_kids) + end)
 
 
 def _rows_template(m: np.ndarray) -> str:
-    return ", ".join(["[" + ", ".join(["%s"] * m.shape[1]) + "]"] * len(m))
+    return _SEP.join(["[" + _SEP.join(["%s"] * m.shape[1]) + "]"] * len(m))
+
+
+@functools.lru_cache(maxsize=1)
+def record_grammar() -> re.Pattern:
+    """The compiled grammar of one set record as :func:`_chunk_json` writes
+    it: its literal text, unsigned JSON integers for ids and dims, and JSON
+    numbers for coordinates.
+
+    Any text it matches from its start is one JSON value that ends where
+    the match ends, so ``json.loads`` accepts it.  ``NaN``, ``Infinity``,
+    another key order and other whitespace do not match.  Compiled on first
+    use, so ``import latreach`` does not pay for it.
+    """
+    def items(x):  # zero or more x, separated as the templates separate
+        return f"(?:{x}(?:{re.escape(_SEP)}{x})*)?"
+
+    def fill(literals, *values):  # the literal pieces around the values
+        out = re.escape(literals[0])
+        for value, literal in zip(values, literals[1:]):
+            out += value + re.escape(literal)
+        return out
+
+    # [0-9], not \d, which takes other digits; ids and dims are natural
+    # numbers, whose unsigned form matches faster
+    natural = "(?!0[0-9])[0-9]+"
+    number = "-?" + natural + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+    face = fill(_FACE_TEXT, natural, natural, items(natural))
+    row = fill("[]", items(number))
+    return re.compile(fill(_SET_TEXT, items(face), items(row), items(row)))
 
 
 def _chunk_json(sets) -> str:
@@ -587,10 +626,10 @@ def _chunk_json(sets) -> str:
     texts, counts, floats = [], [], []
     end = 0
     for s, n in zip(sets, n_faces):
-        texts.append('{"faces": [' + ", ".join(faces[end:end + n])
-                     + '], "vertices": [' + _rows_template(s.vertices)
-                     + '], "region": [' + _rows_template(s.region_vertices)
-                     + "]}")
+        texts.append(_SET_TEXT[0] + _SEP.join(faces[end:end + n])
+                     + _SET_TEXT[1] + _rows_template(s.vertices)
+                     + _SET_TEXT[2] + _rows_template(s.region_vertices)
+                     + _SET_TEXT[3])
         end += n
         counts += (n + s.lattice.child_idx.size,
                    s.vertices.size + s.region_vertices.size)
@@ -605,7 +644,7 @@ def _chunk_json(sets) -> str:
     # each face's id, then its child ids
     values[~is_float] = np.insert(kids, np.cumsum(n_kids) - n_kids, ids)
     values[is_float] = spelled[inverse]
-    return ", ".join(texts) % tuple(values.tolist())
+    return _SEP.join(texts) % tuple(values.tolist())
 
 
 def sets_json(sets):

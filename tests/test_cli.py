@@ -1,14 +1,18 @@
 """CLI end-to-end tests: subcommands, exit codes, file formats."""
 
 import csv
+import io
 import itertools
 import json
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 import latreach.cli
@@ -17,7 +21,7 @@ from latreach import (InputSpec, LatticeSet, LayerDesc, ModelError, Network,
                       ReachConfig, ReachResult, build_box_lattice, reach,
                       verify)
 from latreach.cli import (main, _hull2d, load_input_vector, _parse_constraint,
-                          _read_sets, _write_result)
+                          _read_sets, _unique_rows, _write_result)
 from latreach.engine import iter_set_records, result_to_dict
 from latreach.lattice import DUMP_CHUNK_VALUES, FaceLattice, sets_json
 from conftest import random_toy_net
@@ -778,6 +782,114 @@ def test_dump_write_and_read_hold_no_whole_document(tmp_path):
     assert np.array_equal(s.region_vertices, res.sets[k].region_vertices)
 
 
+@pytest.fixture(scope="module")
+def quadrants_dump(tmp_path_factory):
+    """The text of the 4-set dump of ``reach_quadrants``."""
+    tmp = tmp_path_factory.mktemp("quadrants")
+    out = tmp / "R.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["reach", "--model", model_relu_quadrants(tmp), "--input",
+                     baseline_csv(tmp, [0.0, 0.0]), "--pixels", "0,1",
+                     "--epsilon", "1.0", "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(where=st.floats(0, 1), op=st.sampled_from(["insert", "delete",
+                                                  "replace", "cut"]),
+       c=st.sampled_from('0123456789-+.eE,[]{}": \t\n\r\\uNaIfinty\x01'),
+       chunk=st.sampled_from([1, 7, 64, 1 << 16]), set_id=st.integers(0, 3),
+       indent=st.sampled_from([None, 1]))
+def test_malformed_dump_gives_json_loads_message(
+        quadrants_dump, tmp_path_factory, where, op, c, chunk, set_id,
+        indent):
+    # one-character edits of the dump, as written or one line per value,
+    # read through windows of several sizes: the first error is reported
+    # from the stream with json.loads' message, line and column
+    text = quadrants_dump
+    if indent:
+        text = json.dumps(json.loads(text), indent=indent)
+    i = int(where * len(text))
+    text = {"insert": text[:i] + c + text[i:],
+            "delete": text[:i] + text[i + 1:],
+            "replace": text[:i] + c + text[i + 1:], "cut": text[:i]}[op]
+    try:
+        json.loads(text)
+        return
+    except json.JSONDecodeError as e:
+        want = f"error: {e}"
+    tmp = tmp_path_factory.getbasetemp()
+    dump = tmp / "edited.json"
+    with open(dump, "w", newline="") as f:
+        f.write(text)
+    for argv in (["backtrack", "--result", str(dump), "--set-id",
+                  str(set_id), "--constraint", "1-0>=0"],
+                 ["project", "--result", str(dump), "--axes", "0,1",
+                  "--out", str(tmp / "p.csv")]):
+        err = io.StringIO()
+        with mock.patch.object(latreach.engine, "_CHUNK", chunk), \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue().strip()) == (4, want), argv[0]
+
+
+def read_error_peak(path, *args):
+    """Peak traced bytes of ``_read_sets(path, *args)`` and the message of
+    the JSONDecodeError it raises."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(json.JSONDecodeError) as e:
+            _read_sets(path, *args)
+        return tracemalloc.get_traced_memory()[1], str(e.value)
+    finally:
+        tracemalloc.stop()
+
+
+def test_malformed_dump_costs_what_a_good_one_does(tmp_path):
+    # a 4 MB dump, cut near its end or with one delimiter broken halfway:
+    # the error is found in the stream, not by reading the file once more
+    net, spec = random_toy_net(281)
+    sets = reach(net, spec, ReachConfig()).sets * 4
+    good = tmp_path / "R.json"
+    _write_result(good, fixed_result(sets), ReachConfig())
+    text = good.read_text()
+    half = text.index("], [", len(text) // 2)
+    for bad in (text[:-len(text) // 20], text[:half + 1] + text[half + 2:]):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(bad)
+        cut = tmp_path / "cut.json"
+        cut.write_text(bad)
+        for args in ((300,), ()):  # backtrack's read, then project's
+            peak, message = read_error_peak(cut, *args)
+            assert message == str(want.value)
+            assert peak < 2 * traced_peak(_read_sets, good, *args)
+        assert read_error_peak(cut, 300)[0] < len(text) / 4
+
+
+def test_backtrack_decodes_only_its_record(tmp_path, monkeypatch):
+    net, spec = random_toy_net(5)
+    res = reach(net, spec, ReachConfig())
+    out = tmp_path / "R.json"
+    _write_result(out, res, ReachConfig())
+    records = json.loads(out.read_text())["sets"]
+    assert len(records) == 17
+    assert max(len(json.dumps(r)) for r in records) < latreach.engine._CHUNK
+    starts = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, s, idx=0):
+        if s[idx] == "{":
+            starts.append(idx)
+        return raw_decode(self, s, idx)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    s, = _read_sets(out, 9)
+    assert np.array_equal(s.vertices, res.sets[9].vertices)
+    assert len(starts) == 1
+    starts.clear()
+    assert len(_read_sets(out)) == 17
+    assert len(starts) == 17
+
 def test_project_subcommand(tmp_path, capsys):
     model = model_relu_quadrants(tmp_path)
     x = baseline_csv(tmp_path, [0.0, 0.0])
@@ -928,6 +1040,29 @@ def test_dump_with_a_non_string_key_exits_4(tmp_path, capsys):
     assert (code, stdout) == (4, "") and err.strip() == f"error: {want.value}"
 
 
+
+@pytest.mark.parametrize("text", ["", "\ufeff{\"sets\": []}", "[1, 2",
+                                  '{"sets": []} x', '{"sets": [1 2]}',
+                                  '{"sets": [],\r\n "x": tru}'])
+def test_dump_top_level_errors_are_json_loads_own(tmp_path, capsys, text):
+    # the reader's own walk of the top level words and places its errors as
+    # json.loads does, a byte order mark and \r\n line ends included
+    dump = tmp_path / "R.json"
+    dump.write_bytes(text.encode())
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    code, stdout, err = run(["backtrack", "--result", str(dump), "--set-id",
+                             "0", "--constraint", "1-0>=0"], capsys)
+    assert (code, stdout, err.strip()) == (4, "", f"error: {want.value}")
+
+
+def test_dump_that_is_no_object_exits_4(tmp_path, capsys):
+    dump = write(tmp_path / "R.json", " [1, 2]")
+    code, _, err = run(["project", "--result", dump, "--axes", "0,1",
+                        "--out", str(tmp_path / "p.csv")], capsys)
+    assert (code, err.strip()) == (
+        4, "error: Expecting '{': line 1 column 2 (char 1)")
+
 def test_falsify_shape_must_match_the_input_width(tmp_path):
     # the CLI checks --shape against the image first, so only a library
     # caller reaches this check
@@ -965,6 +1100,25 @@ def test_hull2d_degenerate_inputs():
     point = np.array([[2.0, 3.0], [2.0, 3.0]])
     assert _hull2d(point).shape == (1, 2)
 
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                          st.sampled_from([0.0, -0.0, 3.0])), max_size=40),
+       st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=40),
+       st.randoms(use_true_random=False))
+def test_unique_rows_is_np_unique(planted, free, rnd):
+    # rows planted three times over, some equal but for a zero's sign,
+    # among free rows: the same rows as np.unique, down to the sign bits
+    rows = planted * 3 + free
+    rnd.shuffle(rows)
+    points = np.array(rows, dtype=float).reshape(-1, 2)
+    got, want = _unique_rows(points), np.unique(points, axis=0)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 def test_load_input_vector(tmp_path):
     p = tmp_path / "x.csv"

@@ -7,12 +7,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latreach import (FaceLattice, LatticeSet, Hyperplane, LatticeError,
                       build_box_lattice, affine_transform, classify_vertices,
                       split_by_hyperplane, eliminate_dims, validate_lattice,
                       validate_set, set_to_dict, set_from_dict)
-from latreach.lattice import coord_hyperplane, sets_json, sides
+from latreach.engine import iter_set_records
+from latreach.lattice import coord_hyperplane, record_grammar, sets_json, sides
 from conftest import tetra_set, hull_face_counts_3d, children_of, counts_by_dim
 
 
@@ -648,3 +650,75 @@ def test_repeated_splits_keep_consistency(rng):
         for t in cur:
             validate_set(t)
     assert len(cur) >= 2
+
+
+GRAMMAR = settings(max_examples=150, deadline=None, derandomize=True,
+                   database=None)
+# coordinates whose spelling differs: signed zeros, subnormals, the ends of
+# the exponent range, integral floats and short fractions
+SPELLED = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+           1e300, -1e-300, 1.7976931348623157e308, 1.0, -3.0, 2.0 ** 60,
+           1e16, 0.1, -123.456]
+
+
+@st.composite
+def written_sets(draw, odd=False):
+    """A box lattice of dimension 1 to 3 whose ids may start past int16,
+    with drawn vertex and region rows; ``odd`` adds NaN and +-Infinity to
+    the drawn coordinates."""
+    d = draw(st.integers(1, 3))
+    lat = build_box_lattice([0.0] * d, [1.0] * d).lattice
+    shift = draw(st.sampled_from([0, 40_000, 2 ** 31 - 1 - lat.next_id]))
+    lat = FaceLattice(lat.ids.astype(np.int64) + shift, lat.dims,
+                      lat.child_ptr, lat.child_idx, lat.next_id + shift)
+    values = st.one_of(st.sampled_from(SPELLED + (
+        [math.nan, math.inf, -math.inf] if odd else [])),
+        st.floats(allow_nan=odd, allow_infinity=odd))
+    rows = [np.array(draw(st.lists(st.lists(values, min_size=w, max_size=w),
+                                   min_size=lat.n_vertices,
+                                   max_size=lat.n_vertices)),
+                     dtype=float).reshape(lat.n_vertices, w)
+            for w in (draw(st.integers(0, 3)), d)]
+    return LatticeSet(lat, *rows)
+
+
+@GRAMMAR
+@given(st.lists(written_sets(odd=True), min_size=1, max_size=3))
+def test_record_grammar_matches_every_written_record(tmp_path_factory, sets):
+    grammar = record_grammar()
+    for s in sets:
+        text, = sets_json([s])
+        finite = (np.isfinite(s.vertices).all()
+                  and np.isfinite(s.region_vertices).all())
+        m = grammar.match(text)
+        assert (m is not None) == finite
+        assert m is None or m.end() == len(text)
+    # records the grammar leaves to the decoder read back as json.loads
+    # reads them, and so do those it skims
+    path = tmp_path_factory.mktemp("grammar") / "R.json"
+    path.write_text('{"sets": [' + ", ".join(sets_json(sets)) + "]}")
+    want = [json.dumps(r) for r in json.loads(path.read_text())["sets"]]
+    assert [json.dumps(r) for r in iter_set_records(path)] == want
+    for k in range(len(sets)):
+        got = [json.dumps(r) for r in iter_set_records(path, k)]
+        assert got == [w if i == k else "null" for i, w in enumerate(want)]
+
+
+@GRAMMAR
+@given(written_sets(), st.lists(st.tuples(
+    st.floats(0, 1), st.sampled_from(["insert", "delete", "replace"]),
+    st.sampled_from('0123456789-+.eE,[]{}": \tNaIfinty')),
+    min_size=1, max_size=30))
+def test_record_grammar_matches_only_json(s, edits):
+    # one-character edits of a written record: whatever the grammar matches
+    # is one JSON value that ends where the match ends
+    text, = sets_json([s])
+    decode = json.JSONDecoder().raw_decode
+    for where, op, c in edits:
+        i = int(where * len(text))
+        edited = {"insert": text[:i] + c + text[i:],
+                  "delete": text[:i] + text[i + 1:],
+                  "replace": text[:i] + c + text[i + 1:]}[op]
+        m = record_grammar().match(edited)
+        if m is not None:
+            assert decode(edited)[1] == m.end(), (op, i, c)

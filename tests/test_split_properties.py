@@ -63,10 +63,12 @@ def _plane(draw, s, normals):
             e = V[draw(st.integers(0, len(V) - 1))] - V[i]
             if e @ e > 0:
                 a = a - (a @ e) / (e @ e) * e
+        if not np.any(a):  # before b, so the plane still holds vertex i
+            a = np.eye(d)[0]
         b = -float(a @ V[i])
         if kind == "parallel" and draw(st.booleans()):
             b += draw(st.sampled_from([-0.5, 0.25, 1.0]))
-    if not np.any(a):
+    if not np.any(a):  # a random draw: the axis plane x0 = -b
         a = np.eye(d)[0]
     return Hyperplane(a, b)
 
