@@ -217,24 +217,12 @@ def falsify(net: Network, image, epsilon: float, relaxation: float,
                    info=info)
 
 
-def _unique_rows(points: np.ndarray) -> np.ndarray:
-    """``np.unique(points, axis=0)`` of finite points, by a lexsort."""
-    rows = points[np.lexsort(points.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    # among rows equal but for the sign of a zero, np.unique keeps the one
-    # its unstable sort puts first: ask it
-    if (np.signbit(rows) != np.signbit(rows[first])[first.cumsum() - 1]).any():
-        return np.unique(points, axis=0)
-    return rows[first]
-
-
 def _hull2d(points: np.ndarray) -> np.ndarray:
     """Counterclockwise convex hull by monotone chain.
 
     Collinear inputs degrade to the two lexicographic extremes.
     """
-    pts = _unique_rows(points)
+    pts = np.unique(points, axis=0)
     if pts.shape[0] <= 2:
         return pts
 

@@ -258,6 +258,17 @@ _NUMBER_TAIL = "0123456789.eE+-"
 _CUT = 8
 
 
+def _trailing_comma(close: str) -> tuple[str, bool]:
+    """The running ``json``'s error for a comma just before ``close``: its
+    message, and whether it points at the comma (as from Python 3.13) rather
+    than at ``close``."""
+    text = "[0, ]" if close == "]" else '{"a": 0, }'
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        return e.msg, e.pos == text.index(",")
+
+
 class _Window:
     """The unread part of a text file, refilled on demand and consumed one
     JSON value or one structural character at a time.
@@ -360,8 +371,17 @@ class _Window:
             return
         while True:
             yield
-            if self.take("," + close, "',' delimiter") == close:
+            if self.ahead("," + close, "',' delimiter") == close:
+                self.pos += 1
                 return
+            # look past the comma, keeping it in the window for the error
+            while (after := _BLANKS.match(self.buf, self.pos + 1).end()) \
+                    == len(self.buf) and self.fill():
+                pass
+            if self.buf[after:after + 1] == close:
+                msg, at_comma = _trailing_comma(close)
+                raise self.error(msg, self.pos if at_comma else after)
+            self.pos = after
 
     def end(self) -> None:
         if self.peek():

@@ -21,7 +21,7 @@ from latreach import (InputSpec, LatticeSet, LayerDesc, ModelError, Network,
                       ReachConfig, ReachResult, build_box_lattice, reach,
                       verify)
 from latreach.cli import (main, _hull2d, load_input_vector, _parse_constraint,
-                          _read_sets, _unique_rows, _write_result)
+                          _read_sets, _write_result)
 from latreach.engine import iter_set_records, result_to_dict
 from latreach.lattice import DUMP_CHUNK_VALUES, FaceLattice, sets_json
 from conftest import random_toy_net
@@ -833,6 +833,28 @@ def test_malformed_dump_gives_json_loads_message(
         assert (code, err.getvalue().strip()) == (4, want), argv[0]
 
 
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+@pytest.mark.parametrize("old,new", [("], ", ", ], "), ("], ", ",\n\n], "),
+                                     ("false}", "false,}"),
+                                     ("false}", "false, \r\n }")])
+def test_trailing_comma_gives_json_loads_message(quadrants_dump, tmp_path,
+                                                  capsys, old, new, chunk):
+    # a comma before the end of the sets array or of the dump: the words
+    # and place of the running json, which Python 3.13 changed
+    text = new.join(quadrants_dump.rsplit(old, 1))
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    dump = tmp_path / "R.json"
+    dump.write_bytes(text.encode())
+    for argv in (["backtrack", "--result", str(dump), "--set-id", "3",
+                  "--constraint", "1-0>=0"],
+                 ["project", "--result", str(dump), "--axes", "0,1",
+                  "--out", str(tmp_path / "p.csv")]):
+        with mock.patch.object(latreach.engine, "_CHUNK", chunk):
+            code, stdout, err = run(argv, capsys)
+        assert (code, stdout, err.strip()) == (4, "", f"error: {want.value}")
+
+
 def read_error_peak(path, *args):
     """Peak traced bytes of ``_read_sets(path, *args)`` and the message of
     the JSONDecodeError it raises."""
@@ -1040,7 +1062,6 @@ def test_dump_with_a_non_string_key_exits_4(tmp_path, capsys):
     assert (code, stdout) == (4, "") and err.strip() == f"error: {want.value}"
 
 
-
 @pytest.mark.parametrize("text", ["", "\ufeff{\"sets\": []}", "[1, 2",
                                   '{"sets": []} x', '{"sets": [1 2]}',
                                   '{"sets": [],\r\n "x": tru}'])
@@ -1062,6 +1083,7 @@ def test_dump_that_is_no_object_exits_4(tmp_path, capsys):
                         "--out", str(tmp_path / "p.csv")], capsys)
     assert (code, err.strip()) == (
         4, "error: Expecting '{': line 1 column 2 (char 1)")
+
 
 def test_falsify_shape_must_match_the_input_width(tmp_path):
     # the CLI checks --shape against the image first, so only a library
@@ -1100,25 +1122,6 @@ def test_hull2d_degenerate_inputs():
     point = np.array([[2.0, 3.0], [2.0, 3.0]])
     assert _hull2d(point).shape == (1, 2)
 
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
-                          st.sampled_from([0.0, -0.0, 3.0])), max_size=40),
-       st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-                          st.floats(allow_nan=False, allow_infinity=False)),
-                max_size=40),
-       st.randoms(use_true_random=False))
-def test_unique_rows_is_np_unique(planted, free, rnd):
-    # rows planted three times over, some equal but for a zero's sign,
-    # among free rows: the same rows as np.unique, down to the sign bits
-    rows = planted * 3 + free
-    rnd.shuffle(rows)
-    points = np.array(rows, dtype=float).reshape(-1, 2)
-    got, want = _unique_rows(points), np.unique(points, axis=0)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 def test_load_input_vector(tmp_path):
     p = tmp_path / "x.csv"
