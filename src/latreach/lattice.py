@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affine import Conv, affine_rows
+
 ZERO_TOL = 1e-9
 MAX_BOX_DIM = 10
 _I16, _I32 = np.iinfo(np.int16), np.iinfo(np.int32)
@@ -269,21 +271,24 @@ def build_box_lattice(lower, upper) -> LatticeSet:
     return LatticeSet(lat, verts, verts.copy())
 
 
-def affine_transform(s: LatticeSet, W: np.ndarray, b: np.ndarray) -> LatticeSet:
+def affine_transform(s: LatticeSet, W, b: np.ndarray) -> LatticeSet:
     """Image of ``s`` under ``x -> Wx + b``; the lattice is reused as-is.
 
-    The combinatorial structure of the image of a polytope under an affine
-    map with full row meaning is kept conservatively: degenerate flattening
-    only shows up in coordinates, never in the lattice.
+    ``W`` is a dense matrix or an ``affine.Conv``.  The combinatorial
+    structure of the image of a polytope under an affine map with full row
+    meaning is kept conservatively: degenerate flattening only shows up in
+    coordinates, never in the lattice.
     """
-    W = np.asarray(W, dtype=float)
+    if not isinstance(W, Conv):
+        W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
-    if W.ndim != 2 or W.shape[1] != s.ambient_dim:
+    if len(W.shape) != 2 or W.shape[1] != s.ambient_dim:
         raise LatticeError(
             f"weight shape {W.shape} does not accept {s.ambient_dim}-dim points")
     if b.size != W.shape[0]:
         raise LatticeError("bias length does not match weight rows")
-    return LatticeSet(s.lattice, s.vertices @ W.T + b, s.region_vertices)
+    return LatticeSet(s.lattice, affine_rows(W, b, s.vertices),
+                      s.region_vertices)
 
 
 def classify_vertices(s: LatticeSet, h: Hyperplane):
@@ -410,33 +415,41 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
         once[by_key[1:]] = key[by_key[1:]] != key[by_key[:-1]]
         kid_owner, kid = kid_owner[once], kid[once]
 
+    # every face code in the order of both sides, by dimension with the
+    # old faces first at each, so old vertex rows land first: the old
+    # faces and the sections are each sorted by dimension, so a face's
+    # rank is its place in its run plus the faces of the other run before it
+    new_dims = lat.dims[src] - 1
+    rank = np.concatenate((
+        np.arange(nf) + new_dims.searchsorted(lat.dims, "left"),
+        np.arange(n_new) + lat.dims.searchsorted(new_dims, "right")))
+    merged = np.empty_like(rank)
+    merged[rank] = np.arange(rank.size)
+
     # faces and child entries of both sides, new faces coded nf + j: the
     # old ones, then the sections (all-zero flags, so every side keeps
     # them), the section child of each source face and the children of
     # each new face; ids past int32 fail at next_id, checked when built.
-    # Old ids join intp ones and dims are joined in intp, so nothing wraps
-    # in an int16 lattice, and _assemble_side sorts an intp key, which
-    # numpy's stable argsort takes faster than an int16 one
+    # Old ids join intp ones, so nothing wraps in an int16 lattice
     flags = np.concatenate((flags, np.zeros(n_new, dtype=np.int8)))
     faces = (np.concatenate((lat.ids, lat.next_id - nf + new)),
-             np.concatenate((lat.dims, lat.dims[src] - 1), dtype=np.intp),
+             np.concatenate((lat.dims, new_dims)),
              np.concatenate((owner, src, kid_owner)),
              np.concatenate((idx, new, kid)))
-    return tuple(_assemble_side(s, flags != drop, *faces, new_verts,
+    return tuple(_assemble_side(s, flags != drop, merged, *faces, new_verts,
                                 new_regions) if wanted else None
                  for drop, wanted in ((2, keep[0]), (1, keep[1])))
 
 
-def _assemble_side(s, keep, ids, dims, owner, kid, new_verts, new_regions):
+def _assemble_side(s, keep, merged, ids, dims, owner, kid, new_verts,
+                   new_regions):
     """One side of a split, written straight into its buffer: the faces
-    and child entries that ``keep`` marks, over the arrays of old and new
-    faces that ``split_by_hyperplane`` builds once."""
+    and child entries that ``keep`` marks, in the order ``merged``, over
+    the arrays of old and new faces that ``split_by_hyperplane`` builds
+    once."""
     lat = s.lattice
     nf = lat.n_faces
-    # final positions sorted by (dim, old-before-new, original order), so
-    # old kept vertex rows land first
-    codes = keep.nonzero()[0]
-    codes = codes[(2 * dims[codes] + (codes >= nf)).argsort(kind="stable")]
+    codes = merged[keep[merged]]
     n = codes.size
     pos_of = np.empty(ids.size, dtype=np.intp)
     pos_of[codes] = np.arange(n)

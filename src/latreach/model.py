@@ -1,10 +1,11 @@
-"""Network description: JSON model loading, layer lowering, forward, gradient.
+"""Network description: JSON model loading, forward, gradient.
 
-Models are stored as JSON; convolution and batch-norm layers are lowered at
-load time to explicit affine maps over the flattened feature vector, so the
-runtime only ever sees {affine, relu, maxpool} layers.  Feature vectors are
-flattened channel-major: coordinate of (channel c, row y, col x) in a
-(C, H, W) tensor is ``c*H*W + y*W + x``.
+Models are stored as JSON.  At load time every layer becomes one of
+{affine, relu, maxpool}: an ``affine`` entry keeps its dense matrix, a
+``conv`` entry stays a convolution (``affine.Conv``), and a batch-norm
+folds into the affine layer before it as a scale per output, or else
+becomes a diagonal.  Feature vectors are flattened channel-major: coordinate
+of (channel c, row y, col x) in a (C, H, W) tensor is ``c*H*W + y*W + x``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .affine import (Conv, affine_rows, affine_transpose, diagonal,
+                     scale_rows)
 from .lattice import LatticeError, LatticeSet, as_int, build_box_lattice
 from .layers import PoolSpec
 
@@ -29,6 +32,9 @@ class ModelError(ValueError):
 @dataclass(frozen=True)
 class LayerDesc:
     """One runtime layer: affine (W, b), relu, or maxpool (pools).
+
+    An affine layer's ``W`` is a dense matrix or an ``affine.Conv``; only
+    ``affine.affine_rows`` and ``affine.affine_transpose`` apply it.
 
     A maxpool layer's pools must partition the input coordinates and write
     the outputs 0..n-1 once each.  It also carries ``pool_idx``, the
@@ -50,16 +56,21 @@ class LayerDesc:
         if self.kind not in ("affine", "relu", "maxpool"):
             raise ModelError(f"unsupported layer kind {self.kind!r}")
         if self.kind == "affine":
-            W = np.ascontiguousarray(self.W, dtype=float)
+            W = self.W
+            dense = not isinstance(W, Conv)  # a Conv checks itself when built
+            if dense:
+                W = np.ascontiguousarray(W, dtype=float)
             b = np.ascontiguousarray(self.b, dtype=float).ravel()
             if W.shape != (self.width_out, self.width_in):
                 raise ModelError(f"affine weight shape {W.shape} does not "
                                  f"map {self.width_in} -> {self.width_out}")
             if b.size != self.width_out:
                 raise ModelError("affine bias length mismatch")
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            if not (np.isfinite(b).all()
+                    and (not dense or np.isfinite(W).all())):
                 raise ModelError("affine weights and bias must be finite")
-            W.setflags(write=False)
+            if dense:
+                W.setflags(write=False)
             b.setflags(write=False)
             object.__setattr__(self, "W", W)
             object.__setattr__(self, "b", b)
@@ -170,44 +181,20 @@ def write_flrw(path, W) -> None:
         f.write(W.tobytes())
 
 
-def _lower_conv(entry, width_in):
-    """Explicit affine map of a conv layer over channel-major flat vectors."""
+def _conv(entry, width_in):
+    """The weight and bias of a conv entry, kept a convolution."""
     c, h, w = (as_int(x, "conv in_shape") for x in entry["in_shape"])
     if c * h * w != width_in:
         raise ModelError(f"conv in_shape {entry['in_shape']} does not match "
                          f"running width {width_in}")
-    filt = np.asarray(entry["filters"], dtype=float)
-    if filt.ndim != 4 or filt.shape[1] != c:
-        raise ModelError("conv filters must be [k][c][fh][fw] with matching "
-                         "input channels")
-    k, _, fh, fw = filt.shape
-    stride = as_int(entry.get("stride", 1), "conv stride")
-    pad = as_int(entry.get("pad", 0), "conv pad")
-    if stride < 1 or pad < 0:
-        raise ModelError("conv stride must be >= 1 and pad >= 0")
+    conv = Conv(entry["filters"], (c, h, w),
+                as_int(entry.get("stride", 1), "conv stride"),
+                as_int(entry.get("pad", 0), "conv pad"))
+    k = conv.filters.shape[0]
     bias = np.asarray(entry.get("bias", np.zeros(k)), dtype=float).ravel()
     if bias.size != k:
         raise ModelError("conv bias length must equal filter count")
-    oh = (h + 2 * pad - fh) // stride + 1
-    ow = (w + 2 * pad - fw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ModelError("conv output would be empty")
-
-    # input coordinate under each filter tap, axes (oy, ox, ci, dy, dx);
-    # -1 marks taps that fall in the padding
-    padded = np.pad(np.arange(width_in).reshape(c, h, w),
-                    ((0, 0), (pad, pad), (pad, pad)), constant_values=-1)
-    py = np.arange(oh)[:, None] * stride + np.arange(fh)
-    px = np.arange(ow)[:, None] * stride + np.arange(fw)
-    col = padded[np.arange(c)[:, None, None], py[:, None, None, :, None],
-                 px[:, None, None, :]]
-    row, col, val = np.broadcast_arrays(
-        np.arange(k * oh * ow).reshape(k, oh, ow, 1, 1, 1), col,
-        filt[:, None, None])
-    keep = col >= 0
-    W = np.zeros((k * oh * ow, width_in))
-    W[row[keep], col[keep]] = val[keep]
-    return W, np.repeat(bias, oh * ow)
+    return conv, np.repeat(bias, conv.taps.shape[1])
 
 
 def _batchnorm_affine(entry, width):
@@ -248,15 +235,15 @@ def _append_layer(layers: list, entry, width: int, folder: Path) -> int:
         layers.append(LayerDesc("maxpool", width, len(pools), pools=pools))
         return len(pools)
     if kind == "conv":
-        W, b = _lower_conv(entry, width)
+        W, b = _conv(entry, width)
     elif kind == "batchnorm":
         d, shift = _batchnorm_affine(entry, width)
         if layers and layers[-1].kind == "affine":
             prev = layers.pop()
             width = prev.width_in
-            W, b = prev.W * d[:, None], d * prev.b + shift
+            W, b = scale_rows(prev.W, d), d * prev.b + shift
         else:
-            W, b = np.diag(d), shift
+            W, b = diagonal(d), shift
     elif kind in ("affine", "affine_ref"):
         W = (np.asarray(entry["W"], dtype=float) if kind == "affine"
              else _read_flrw(folder / entry["file"]))
@@ -270,10 +257,10 @@ def _append_layer(layers: list, entry, width: int, folder: Path) -> int:
 
 
 def load_model(path) -> Network:
-    """Load a JSON model file, lowering conv/batchnorm to affine layers.
+    """Load a JSON model file; conv and batchnorm become affine layers.
 
-    A batch-norm directly after an affine layer is folded into it; a leading
-    batch-norm becomes a standalone diagonal affine layer.
+    A conv stays a convolution.  A batch-norm directly after an affine
+    layer is folded into it; any other becomes a standalone diagonal.
     """
     path = Path(path)
     try:
@@ -308,7 +295,7 @@ def load_model(path) -> Network:
 
 def _apply_layer(layer: LayerDesc, x: np.ndarray) -> np.ndarray:
     if layer.kind == "affine":
-        return layer.W @ x + layer.b
+        return affine_rows(layer.W, layer.b, x)
     if layer.kind == "relu":
         return np.maximum(x, 0.0)
     return x[layer.pool_idx].max(axis=1)
@@ -358,7 +345,7 @@ def gradient(net: Network, x, logit_index: int) -> Gradients:
         layer = net.layers[i]
         u = inputs[i]
         if layer.kind == "affine":
-            g = layer.W.T @ g
+            g = affine_transpose(layer.W, g)
         elif layer.kind == "relu":
             g = g * (u > 0)
             wrt_layer[i] = g

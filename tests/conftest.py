@@ -1,7 +1,9 @@
 """Shared test oracles, independent of the production code paths.
 
 Membership and face-count oracles are built on scipy/qhull; batch_forward is
-a vectorized network evaluator written separately from model.forward.
+a vectorized network evaluator written separately from model.forward, which
+applies affine layers through ``affine.affine_rows`` (checked against a
+dense reference in test_model.py).
 """
 
 import itertools
@@ -12,6 +14,7 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from latreach import FaceLattice, LatticeSet
+from latreach.affine import affine_rows
 
 
 class VPolytope:
@@ -101,7 +104,7 @@ def batch_forward(net, X):
     Y = np.atleast_2d(np.asarray(X, dtype=float))
     for layer in net.layers:
         if layer.kind == "affine":
-            Y = Y @ layer.W.T + layer.b
+            Y = affine_rows(layer.W, layer.b, Y)
         elif layer.kind == "relu":
             Y = np.maximum(Y, 0.0)
         else:

@@ -1,7 +1,7 @@
 """Exact regions tile the input box on random nets with planted degeneracies.
 
-Nets mix affine, ReLU and maxpool layers and conv layers lowered to affine,
-over boxes of dimension 1 to 4.  Weights are small integers and box corners
+Nets mix affine, ReLU and maxpool layers and conv layers kept as
+convolutions, over boxes of dimension 1 to 4.  Weights are small integers and box corners
 half-integers, so the planted degeneracies are exact in floating point:
 duplicate neurons, zero rows, and hyperplanes (ReLU planes and maxpool
 comparisons) through the image of a box corner, which put vertices exactly
@@ -19,7 +19,8 @@ from scipy.spatial import ConvexHull
 
 from latreach import (ZERO_TOL, InputSpec, LayerDesc, Network, PoolSpec,
                       ReachConfig, forward, reach, verify)
-from latreach.model import _apply_layer, _lower_conv
+from latreach.affine import Conv, scale_rows
+from latreach.model import _apply_layer
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None,
@@ -60,17 +61,16 @@ def _planted_affine(draw, Z, n_out):
 
 
 def _conv(draw, width):
-    """A conv layer over a ``width``-long input, lowered to affine."""
+    """The weight and bias of a conv layer over a ``width``-long input."""
     c, h, w = draw(st.sampled_from(
         [(1, 1, width)] + [(2, 1, width // 2), (1, 2, width // 2)]
         * (width % 2 == 0)))
     k = draw(st.integers(1, 2 if width <= 3 else 1))
     fh, fw = draw(st.integers(1, h)), draw(st.integers(1, min(w, 2)))
     filt = _ints(draw, k * c * fh * fw, -1, 1).reshape(k, c, fh, fw)
-    entry = {"in_shape": [c, h, w], "filters": filt.tolist(),
-             "bias": (_ints(draw, k, -2, 2) / 2).tolist(),
-             "stride": draw(st.integers(1, 2))}
-    return _lower_conv(entry, width)
+    bias = _ints(draw, k, -2, 2) / 2
+    conv = Conv(filt, (c, h, w), draw(st.integers(1, 2)))
+    return conv, np.repeat(bias, conv.taps.shape[1])
 
 
 @st.composite
@@ -146,14 +146,16 @@ def test_exact_regions_tile_the_box_on_degenerate_nets(case):
 
 @st.composite
 def huge_weight_nets(draw):
-    """A planted net whose affine layer ``i`` is scaled by up to 1e300."""
+    """A planted net whose affine layer ``i`` (dense or conv) is scaled by
+    up to 1e300."""
     net, spec = draw(degenerate_nets())
     layers = list(net.layers)
     i = draw(st.sampled_from([i for i, layer in enumerate(layers)
                               if layer.kind == "affine"]))
     scale = 10.0 ** draw(st.integers(0, 300))
     a = layers[i]
-    layers[i] = LayerDesc("affine", a.width_in, a.width_out, a.W * scale,
+    layers[i] = LayerDesc("affine", a.width_in, a.width_out,
+                          scale_rows(a.W, np.full(a.width_out, scale)),
                           a.b * scale)
     return Network(tuple(layers), net.input_width, net.labels), spec
 

@@ -1,14 +1,19 @@
-"""Model loading, lowering, forward evaluation, and gradients."""
+"""Model loading, structured conv layers, forward evaluation, and gradients."""
 
+import itertools
 import json
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from latreach import (ModelError, InputSpec, LayerDesc, Network, PoolSpec,
-                      ReachConfig, load_model, forward, gradient, reach,
+from latreach import (ModelError, InputSpec, LatticeSet, LayerDesc, Network,
+                      PoolSpec, ReachConfig, affine_transform,
+                      build_box_lattice, load_model, forward, gradient, reach,
                       write_flrw, validate_set)
+from latreach.affine import Conv, affine_rows, affine_transpose
 from latreach.cli import main
 from latreach.model import _read_flrw, embed_box
 
@@ -520,3 +525,224 @@ def test_maxpool_model_validation(tmp_path, capsys, pools):
                      "--pixels", "0", "--epsilon", "0.1"])
         assert code == 4
         assert "maxpool" in capsys.readouterr().err
+
+
+# --- conv and batch-norm layers stay structured ---------------------------
+
+def dense_conv(filt, stride, pad, c, h, w):
+    """Reference dense matrix of a conv over channel-major flat vectors,
+    written tap by tap."""
+    k, _, fh, fw = filt.shape
+    oh = (h + 2 * pad - fh) // stride + 1
+    ow = (w + 2 * pad - fw) // stride + 1
+    W = np.zeros((k, oh, ow, c, h, w))
+    for oy, ox, dy, dx in itertools.product(range(oh), range(ow), range(fh),
+                                            range(fw)):
+        y, x = oy * stride + dy - pad, ox * stride + dx - pad
+        if 0 <= y < h and 0 <= x < w:
+            W[:, oy, ox, :, y, x] = filt[:, :, dy, dx]
+    return W.reshape(k * oh * ow, c * h * w)
+
+
+def random_conv(rng):
+    """A random conv entry and its reference dense weight and bias."""
+    c, k = (int(v) for v in rng.integers(1, 4, 2))
+    h, w = (int(v) for v in rng.integers(1, 8, 2))
+    stride, pad = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    fh = int(rng.integers(1, min(4, h + 2 * pad) + 1))
+    fw = int(rng.integers(1, min(4, w + 2 * pad) + 1))
+    filt = rng.normal(size=(k, c, fh, fw))
+    bias = rng.normal(size=k)
+    W = dense_conv(filt, stride, pad, c, h, w)
+    entry = {"kind": "conv", "in_shape": [c, h, w], "filters": filt.tolist(),
+             "bias": bias.tolist(), "stride": stride, "pad": pad}
+    return entry, W, np.repeat(bias, len(W) // k)
+
+
+def random_batchnorm(rng, width):
+    """A batch-norm entry and its reference scale and shift."""
+    mean, beta = rng.normal(size=width), rng.normal(size=width)
+    var, gamma = rng.uniform(0.1, 2.0, width), rng.normal(size=width)
+    entry = {"kind": "batchnorm", "mean": mean.tolist(), "var": var.tolist(),
+             "gamma": gamma.tolist(), "beta": beta.tolist(), "eps": 1e-5}
+    d = gamma / np.sqrt(var + 1e-5)
+    return entry, d, beta - d * mean
+
+
+def close(got, want, mag):
+    """``got`` within 1e-12 of ``want``, relative to each row's scale: the
+    largest sum of absolute terms ``mag`` in that row."""
+    scale = np.max(mag, axis=-1, keepdims=True)
+    return bool((np.abs(got - want) <= 1e-12 * scale).all())
+
+
+@pytest.mark.parametrize("layers", ["conv", "conv_bn", "bn", "bn_bn"])
+def test_structured_layers_match_a_dense_reference(tmp_path, rng, layers):
+    # a conv (optionally with a folded batch-norm) or a standalone
+    # batch-norm loads as one affine layer that is never a dense matrix,
+    # and every path through it computes the reference map
+    for _ in range(40):
+        if layers.startswith("conv"):
+            entry, W, b = random_conv(rng)
+            entries = [entry]
+        else:
+            width = int(rng.integers(1, 50))
+            W, b, entries = np.eye(width), np.zeros(width), []
+        for _ in range(layers.count("bn")):
+            entry, d, shift = random_batchnorm(rng, len(W))
+            W, b = W * d[:, None], d * b + shift
+            entries.append(entry)
+        m, n = W.shape
+        net = load_model(write_model(tmp_path, {
+            "input_width": n, "labels": [str(i) for i in range(m)],
+            "layers": entries}))
+        (layer,) = net.layers
+        assert layer.kind == "affine" and isinstance(layer.W, Conv)
+        assert layer.W.shape == W.shape
+
+        X = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-3, 4)
+        want, mag = X @ W.T + b, np.abs(X) @ np.abs(W).T + np.abs(b)
+        box = build_box_lattice([0.0, 0.0], [1.0, 1.0])
+        got = affine_transform(LatticeSet(box.lattice, X, X), layer.W,
+                               layer.b)
+        assert close(got.vertices, want, mag)
+        assert all(close(forward(net, x), y, s)
+                   for x, y, s in zip(X, want, mag))
+        for i in rng.choice(m, min(m, 4), replace=False):
+            g = gradient(net, X[0], int(i)).wrt_input
+            assert close(g, W[i], np.abs(W[i]))
+
+        G = rng.normal(size=(3, m))
+        assert close(affine_transpose(layer.W, G), G @ W, np.abs(G) @ np.abs(W))
+        for x, g in zip(X, G):
+            lhs = affine_rows(layer.W, 0.0, x) @ g
+            rhs = x @ affine_transpose(layer.W, g)
+            assert abs(lhs - rhs) <= 1e-12 * (np.abs(g) @ np.abs(W)
+                                              @ np.abs(x))
+
+
+# A seeded CIFAR10-shaped network: 3x32x32 input, 3x3 pad-1 convs of 32
+# and 64 filters, each followed by a per-channel batch-norm, a ReLU and a
+# 2x2 maxpool, then a dense head of 10 classes.  "single" is one 32-filter
+# conv, ReLU and maxpool with the dense head: 805 MB as a dense matrix.
+def cifar_layers(rng, single=False):
+    def conv(k, c, size):
+        return {"kind": "conv", "in_shape": [c, size, size], "stride": 1,
+                "pad": 1, "bias": (rng.normal(size=k) * 0.1).tolist(),
+                "filters": (rng.normal(size=(k, c, 3, 3))
+                            / np.sqrt(9 * c)).tolist()}
+
+    def batchnorm(k, size):
+        def per_channel(v):
+            return np.repeat(v, size * size).tolist()
+        return {"kind": "batchnorm",
+                "mean": per_channel(rng.normal(size=k) * 0.1),
+                "var": per_channel(rng.uniform(0.5, 1.5, k)),
+                "gamma": per_channel(rng.uniform(0.8, 1.2, k)),
+                "beta": per_channel(rng.normal(size=k) * 0.1)}
+
+    def maxpool(k, size):
+        half = size // 2
+        base = (np.arange(k)[:, None, None] * size * size
+                + 2 * size * np.arange(half)[:, None] + 2 * np.arange(half))
+        dims = base.reshape(-1, 1) + [0, 1, size, size + 1]
+        return {"kind": "maxpool", "pools": [{"dims": d, "out": i}
+                                             for i, d in enumerate(
+                                                 dims.tolist())]}
+
+    blocks = [(32, 3, 32)] if single else [(32, 3, 32), (64, 32, 16)]
+    layers = []
+    for k, c, size in blocks:
+        layers += [conv(k, c, size)] + [batchnorm(k, size)] * (not single) \
+            + [{"kind": "relu"}, maxpool(k, size)]
+    k, size = blocks[-1][0], blocks[-1][2] // 2
+    width = k * size * size
+    layers.append({"kind": "affine",
+                   "W": (rng.normal(size=(10, width))
+                         / np.sqrt(width)).tolist(),
+                   "b": (rng.normal(size=10) * 0.1).tolist()})
+    return layers
+
+
+@pytest.fixture(scope="module")
+def cifar_models(tmp_path_factory):
+    """Paths of the seeded CIFAR10-shaped model and of the single conv."""
+    folder = tmp_path_factory.mktemp("cifar")
+    paths = []
+    for single in (False, True):
+        rng = np.random.default_rng(10)
+        paths.append(write_model(folder, {
+            "input_width": 3 * 32 * 32, "labels": [str(i) for i in range(10)],
+            "layers": cifar_layers(rng, single)}, f"net{int(single)}.json"))
+    return paths
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_cifar_shaped_models_load_small(cifar_models):
+    # no conv is lowered to a dense matrix: the single conv's would be
+    # 805 MB, the second conv's about 17 GB.  A fresh interpreter's peak is
+    # its VmHWM: on Linux a child's ru_maxrss also counts the parent's
+    # memory that it was forked from.
+    code = ("import sys, latreach; latreach.load_model(sys.argv[1]); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1]"
+            ".split()[0])")
+    for path, limit_mb in zip(cifar_models, (150, 100)):
+        out = subprocess.run([sys.executable, "-c", code, str(path)],
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout) / 1024 < limit_mb
+
+
+def reference_forward(layers, x, v=None):
+    """The logits at ``x`` by ``direct_conv`` and plain numpy, and, given
+    ``v``, the network's derivative along ``v`` at ``x``: the same pass with
+    no biases, and the ReLU masks and maxpool winners of ``x``."""
+    for layer in layers:
+        if layer["kind"] == "conv":
+            c, h, w = layer["in_shape"]
+            filt, bias = np.array(layer["filters"]), np.array(layer["bias"])
+            x = direct_conv(x, filt, bias, 1, 1, c, h, w)
+            if v is not None:
+                v = direct_conv(v, filt, 0 * bias, 1, 1, c, h, w)
+        elif layer["kind"] == "batchnorm":
+            d = np.array(layer["gamma"]) / np.sqrt(np.array(layer["var"])
+                                                   + 1e-5)
+            x = d * (x - np.array(layer["mean"])) + np.array(layer["beta"])
+            v = None if v is None else d * v
+        elif layer["kind"] == "relu":
+            v = None if v is None else v * (x > 0)
+            x = np.maximum(x, 0.0)
+        elif layer["kind"] == "maxpool":
+            dims = np.array([p["dims"] for p in layer["pools"]])
+            win = dims[np.arange(len(dims)), x[dims].argmax(axis=1)]
+            x, v = x[win], None if v is None else v[win]
+        else:
+            W = np.array(layer["W"])
+            x, v = W @ x + np.array(layer["b"]), None if v is None else W @ v
+    return x if v is None else (x, v)
+
+
+def test_cifar_shaped_forward_and_gradient_match_direct_conv(cifar_models):
+    layers = json.loads(cifar_models[0].read_text())["layers"]
+    net = load_model(cifar_models[0])
+    rng = np.random.default_rng(11)
+    x, v = rng.uniform(0, 1, 3072), rng.normal(size=3072)
+    want, along = reference_forward(layers, x, v)
+    got = forward(net, x)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    for c in range(10):
+        g = gradient(net, x, c).wrt_input
+        assert abs(g @ v - along[c]) <= 1e-10 * np.abs(g) @ np.abs(v)
+
+
+def test_cifar_shaped_reach_over_one_rgb_pixel(cifar_models):
+    # an exact reach over the three channels of one corner pixel; every
+    # set's first region vertex maps onto its first vertex
+    net = load_model(cifar_models[0])
+    x = np.random.default_rng(12).uniform(0, 1, 3072)
+    spec = InputSpec(x, (0, 1024, 2048), 0.05)
+    res = reach(net, spec, ReachConfig())
+    assert not res.truncated and res.set_count > 1
+    for s in res.sets:
+        want = forward(net, s.region_vertices[0])
+        assert np.abs(s.vertices[0] - want).max() <= 1e-9 * max(
+            1.0, np.abs(want).max())
