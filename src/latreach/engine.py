@@ -30,8 +30,8 @@ from .lattice import (LatticeSet, as_int, record_grammar, set_from_dict,
                       set_to_dict, sets_json, split_by_hyperplane)
 from .layers import (NeuronSelection, affine_layer_reach, relu_layer_reach,
                      maxpool_layer_reach, _expired)
-from .model import (Network, InputSpec, ModelError, Gradients, embed_box,
-                    forward, gradient)
+from .model import (Network, InputSpec, ModelError, Gradients, mapped_box,
+                    unmap_set, forward, gradient)
 
 DEFAULT_MAX_SETS = 5_000_000
 
@@ -130,12 +130,14 @@ def _partition_box(lo, hi, k, deadline=np.inf):
 def _propagate_partition(net, spec, selections, deadline, max_sets, box):
     """Run the input sub-box ``box = (lo, hi)`` through all layers.
 
-    Returns (sets_or_None, stats); None means the budget (``_expired``)
-    fired inside a layer or at the end of one.
+    The sets are MappedSets until the last layer; then each output is
+    replaced in place by its LatticeSet, so the two forms never coexist in
+    full.  Returns (sets_or_None, stats); None means the budget
+    (``_expired``) fired inside a layer or at the end of one.
     """
     stats = {"splits": 0, "sets_per_layer": [0] * len(net.layers),
              "deadline": deadline, "max_sets": max_sets}
-    sets = [embed_box(spec, *box)]
+    sets = [mapped_box(spec, *box)]
     for i, layer in enumerate(net.layers):
         sel = selections.get(i) if selections else None
         if layer.kind == "affine":
@@ -147,6 +149,8 @@ def _propagate_partition(net, spec, selections, deadline, max_sets, box):
         stats["sets_per_layer"][i] += len(sets)
         if _expired(stats, len(sets)):
             return None, stats
+    for i, s in enumerate(sets):
+        sets[i] = unmap_set(spec, s)
     return sets, stats
 
 

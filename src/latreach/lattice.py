@@ -16,6 +16,12 @@ Conventions used throughout:
   in the space the analysis started from; the two matrices stay in
   one-to-one row correspondence because splits interpolate both with the
   same parameter;
+* inside ``reach`` a set is a :class:`MappedSet` instead: its region rows
+  in only the k perturbed input coordinates and one affine map of them, so
+  a layer computes the vertex values it reads from the map
+  (``MappedSet.columns``) and a split interpolates only the k-wide rows;
+  ``reach`` builds each output's vertex rows once, from its map, when it
+  turns the set into a LatticeSet (``model.unmap_set``);
 * a vertex counts as lying on a hyperplane when ``|a.v + b|`` is within
   ``ZERO_TOL * max(1, |a.v| + |b|)``, where ``a.v`` sums only the terms
   whose normal entry is nonzero: a non-finite coordinate outside a cut
@@ -213,6 +219,72 @@ class LatticeSet:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
+    def columns(self, cols, minus=None) -> np.ndarray:
+        """The vertex rows' values in coordinates ``cols`` (an index
+        array of any shape), less those in ``minus`` (same shape) when
+        given, shaped ``(n_vertices, *cols.shape)``."""
+        if minus is None:
+            return self.vertices[:, cols]
+        return self.vertices[:, cols] - self.vertices[:, minus]
+
+    @property
+    def rows(self) -> tuple:
+        """The row matrices a split interpolates: the stored rows."""
+        return self.vertices, self.region_vertices
+
+    def with_rows(self, lattice, rows) -> LatticeSet:
+        """The set over ``lattice`` whose stored rows are ``rows``."""
+        return LatticeSet(lattice, *rows)
+
+
+class MappedSet:
+    """A set as ``reach`` carries it: its lattice, its region rows in only
+    the k perturbed input coordinates, and one affine map of them.
+
+    ``M`` holds the map ``[A | c]`` transposed, shape ``(k + 1, width)``:
+    the vertex rows are ``region @ M[:k] + M[k]`` and are never stored.  A
+    layer maps ``M`` once per set, zeroes or selects its columns, and a
+    split interpolates only the k-wide ``region`` and hands ``M`` to both
+    sides.  A coordinate whose column of ``M[:k]`` is zero is the constant
+    ``M[k]`` at every vertex, exactly.  Both arrays are read-only, as
+    sets share them.
+    """
+
+    __slots__ = ("lattice", "region", "M")
+
+    def __init__(self, lattice: FaceLattice, region, M):
+        self.lattice = lattice
+        self.region, self.M = (np.ascontiguousarray(a, dtype=float)
+                               for a in (region, M))
+        self.region.setflags(write=False)
+        self.M.setflags(write=False)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.M.shape[1]
+
+    @property
+    def n_vertices(self) -> int:
+        return self.region.shape[0]
+
+    def columns(self, cols, minus=None) -> np.ndarray:
+        """As :meth:`LatticeSet.columns`, computed from the map: the
+        difference of two coordinates is taken on their map columns, so
+        two coordinates with equal columns differ by exactly 0."""
+        M = self.M[:, cols]
+        if minus is not None:
+            M -= self.M[:, minus]
+        flat = M.reshape(len(M), -1)
+        return (self.region @ flat[:-1] + flat[-1]).reshape(
+            (self.n_vertices,) + M.shape[1:])
+
+    @property
+    def rows(self) -> tuple:
+        return (self.region,)
+
+    def with_rows(self, lattice, rows) -> MappedSet:
+        return MappedSet(lattice, *rows, self.M)
+
 
 @functools.lru_cache(maxsize=MAX_BOX_DIM)
 def _box_structure(d: int):
@@ -271,10 +343,12 @@ def build_box_lattice(lower, upper) -> LatticeSet:
     return LatticeSet(lat, verts, verts.copy())
 
 
-def affine_transform(s: LatticeSet, W, b: np.ndarray) -> LatticeSet:
+def affine_transform(s, W, b: np.ndarray):
     """Image of ``s`` under ``x -> Wx + b``; the lattice is reused as-is.
 
-    ``W`` is a dense matrix or an ``affine.Conv``.  The combinatorial
+    ``W`` is a dense matrix or an ``affine.Conv``.  A MappedSet's map is
+    mapped: its k + 1 rows go through ``affine_rows`` and ``b`` joins the
+    constant row.  The combinatorial
     structure of the image of a polytope under an affine map with full row
     meaning is kept conservatively: degenerate flattening only shows up in
     coordinates, never in the lattice.
@@ -287,6 +361,10 @@ def affine_transform(s: LatticeSet, W, b: np.ndarray) -> LatticeSet:
             f"weight shape {W.shape} does not accept {s.ambient_dim}-dim points")
     if b.size != W.shape[0]:
         raise LatticeError("bias length does not match weight rows")
+    if isinstance(s, MappedSet):
+        M = affine_rows(W, 0.0, s.M)
+        M[-1] += b
+        return MappedSet(s.lattice, s.region, M)
     return LatticeSet(s.lattice, affine_rows(W, b, s.vertices),
                       s.region_vertices)
 
@@ -304,7 +382,7 @@ def classify_vertices(s: LatticeSet, h: Hyperplane):
     if h.normal.size != s.ambient_dim:
         raise LatticeError("hyperplane dimension does not match set")
     nz = h.normal.nonzero()[0]
-    av = s.vertices[:, nz] @ h.normal[nz]
+    av = s.columns(nz) @ h.normal[nz]
     vals = av + h.offset
     return (vals, *sides(vals, np.abs(av) + abs(h.offset)))
 
@@ -324,7 +402,9 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
     edges (in both ``vertices`` and ``region_vertices`` with the same
     parameter), each cut face gains a section face one dimension lower, and
     existing all-zero faces are reused as sections instead of being
-    duplicated.
+    duplicated.  New rows are interpolated in every row matrix the set
+    stores (``s.rows``): both of a LatticeSet's, and only a MappedSet's
+    region rows, whose map both sides share.
 
     Everything runs on whole CSR arrays: sign flags are reduced once per
     dimension level, all crossing edges are interpolated together, and the
@@ -385,9 +465,7 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
     v0_pos = pos[v0]
     p, n = np.where(v0_pos, v0, v1), np.where(v0_pos, v1, v0)
     t = (-vals[n] / (vals[p] - vals[n]))[:, None]
-    vn, rn = s.vertices[n], s.region_vertices[n]
-    new_verts = vn + t * (s.vertices[p] - vn)
-    new_regions = rn + t * (s.region_vertices[p] - rn)
+    new_rows = [m[n] + t * (m[p] - m[n]) for m in s.rows]
 
     # children of a new face of dimension >= 1 (coded by its source's
     # section): the sections of its source's cut children, then its
@@ -436,13 +514,12 @@ def split_by_hyperplane(s: LatticeSet, cut, keep=(True, True)):
              np.concatenate((lat.dims, new_dims)),
              np.concatenate((owner, src, kid_owner)),
              np.concatenate((idx, new, kid)))
-    return tuple(_assemble_side(s, flags != drop, merged, *faces, new_verts,
-                                new_regions) if wanted else None
+    return tuple(_assemble_side(s, flags != drop, merged, *faces, new_rows)
+                 if wanted else None
                  for drop, wanted in ((2, keep[0]), (1, keep[1])))
 
 
-def _assemble_side(s, keep, merged, ids, dims, owner, kid, new_verts,
-                   new_regions):
+def _assemble_side(s, keep, merged, ids, dims, owner, kid, new_rows):
     """One side of a split, written straight into its buffer: the faces
     and child entries that ``keep`` marks, in the order ``merged``, over
     the arrays of old and new faces that ``split_by_hyperplane`` builds
@@ -470,21 +547,35 @@ def _assemble_side(s, keep, merged, ids, dims, owner, kid, new_verts,
     buf[3 * n + 1:] = pos_of[kid[own]][kid_owner.argsort(kind="stable")]
 
     old_v = keep[:lat.n_vertices]
-    verts = np.concatenate((s.vertices[old_v], new_verts))
-    regions = np.concatenate((s.region_vertices[old_v], new_regions))
-    out = FaceLattice._of_buffer(buf, n, next_id)
-    return LatticeSet(out, verts, regions)
+    rows = [np.concatenate((m[old_v], new)) for m, new in zip(s.rows,
+                                                              new_rows)]
+    return s.with_rows(FaceLattice._of_buffer(buf, n, next_id), rows)
 
 
-def eliminate_dims(s: LatticeSet, keep) -> LatticeSet:
-    """Restrict the vertex matrix to the ``keep`` columns, in that order."""
+def eliminate_dims(s, keep):
+    """Restrict the vertex matrix (a MappedSet: its map) to the ``keep``
+    columns, in that order."""
     keep = np.asarray(keep)
     if keep.size == 0:
         raise LatticeError("cannot eliminate every coordinate")
     bad = (keep < 0) | (keep >= s.ambient_dim)
     if bad.any():
         raise LatticeError(f"coordinate {keep[bad][0]} out of range")
+    if isinstance(s, MappedSet):
+        return MappedSet(s.lattice, s.region, s.M[:, keep])
     return LatticeSet(s.lattice, s.vertices[:, keep], s.region_vertices)
+
+
+def zero_dims(s, cols):
+    """``s`` with the coordinates ``cols`` set to zero at every vertex (a
+    MappedSet: its map's columns zeroed)."""
+    if isinstance(s, MappedSet):
+        M = s.M.copy()
+        M[:, cols] = 0.0
+        return MappedSet(s.lattice, s.region, M)
+    v = s.vertices.copy()
+    v[:, cols] = 0.0
+    return LatticeSet(s.lattice, v, s.region_vertices)
 
 
 def validate_lattice(lat: FaceLattice) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeError, LatticeSet, as_int, sides, eliminate_dims,
+from .lattice import (LatticeError, as_int, sides, eliminate_dims, zero_dims,
                       affine_transform, split_by_hyperplane)
 from .lattice import classify_vertices  # noqa: F401  (perfbench/tracer.py wraps it)
 
@@ -135,26 +135,27 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
                      stats: dict | None = None):
     """Propagate sets through an elementwise ReLU layer.
 
-    One ``_walk`` step per (set, candidate neurons) item: its sign pass
-    projects the coordinates that never go positive to zero in one batch,
-    and its labels split the set on the lowest crossing neuron (no second
-    classify).  The children, positive first, carry the other crossing
+    One ``_walk`` step per (set, candidate neurons, neurons to zero) item:
+    its sign pass projects the coordinates that never go positive to zero,
+    with those it was handed, in one batch, and its labels split the set on
+    the lowest crossing neuron (no second classify).  The split decides
+    that neuron: the negative child zeroes it and the positive child keeps
+    it, whatever the values of the new vertices round to, so no neuron is
+    split twice.  The children, positive first, carry the other crossing
     neurons on.  Each child has a vertex strictly off the cut, so none is
     dropped as flat; ``_split`` keeps both unless a ``selection`` leaves the
     neuron unselected.  Budget as in ``_walk``.
     """
     _check_selection(selection, inputs)
 
-    def step(s, candidates):
-        sub = s.vertices[:, candidates]
+    def step(s, candidates, dead):
+        sub = s.columns(candidates)
         pos, neg = sides(sub, np.abs(sub))
         goes_pos, goes_neg = pos.any(axis=0), neg.any(axis=0)
         news = candidates[goes_pos & goes_neg]
-        negs = candidates[~goes_pos]
-        if negs.size:
-            v = s.vertices.copy()
-            v[:, negs] = 0.0
-            s = LatticeSet(s.lattice, v, s.region_vertices)
+        negs = candidates[~goes_pos].tolist() + dead
+        if negs:
+            s = zero_dims(s, negs)
         if news.size == 0:
             return s, ()
 
@@ -162,24 +163,24 @@ def relu_layer_reach(inputs, selection: NeuronSelection | None = None,
         j = int((goes_pos & goes_neg).argmax())  # k's column in the pass
         kids = _split(s, (sub[:, j], pos[:, j], neg[:, j]), (k, k),
                       (True, True), selection, stats)
-        # the next sign pass zeroes k on the negative child and drops it on
-        # the positive one
-        return None, [(c, news) for c in kids if c is not None]
+        return None, [(c, news[1:], zero) for c, zero in zip(kids, ([], [k]))
+                      if c is not None]
 
-    return _walk([(s, np.arange(s.ambient_dim)) for s in inputs], step, stats)
+    return _walk([(s, np.arange(s.ambient_dim), []) for s in inputs], step,
+                 stats)
 
 
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # of a window
 
 
-def _pair_signs(v, windows):
+def _pair_signs(s, windows):
     """The cuts ``(d, pos, neg)`` of every pair ``(i, j)`` of ``_PAIRS`` in
-    every 4-coordinate window (``PoolSpec.window``), on vertex rows ``v``:
-    ``d = v[:, windows[..., i]] - v[:, windows[..., j]]`` and its ``sides``
-    masks, as ``classify_vertices`` gives the cut ``x_i - x_j``.  The pair
-    axis is last."""
+    every 4-coordinate window (``PoolSpec.window``) of set ``s``:
+    ``d = x[windows[..., i]] - x[windows[..., j]]`` at each vertex ``x``
+    (``s.columns``) and its ``sides`` masks, as ``classify_vertices``
+    gives the cut ``x_i - x_j``.  The pair axis is last."""
     lo, hi = zip(*_PAIRS)
-    d = v[:, windows[..., lo]] - v[:, windows[..., hi]]
+    d = s.columns(windows[..., lo], windows[..., hi])
     return (d, *sides(d, np.abs(d)))
 
 
@@ -212,7 +213,7 @@ def _domain_chain(s, pool, k, selection, stats, signs, results):
         if k not in (i, j) or j >= len(pool.dims):
             continue
         if signs is None:
-            signs = _pair_signs(t.vertices, np.array(pool.window))
+            signs = _pair_signs(t, np.array(pool.window))
             results = _pair_results(*signs[1:])
         if results[1][p] == k:  # k loses a comparison t does not cross
             return None
@@ -242,8 +243,7 @@ def _pool_domains(s, pool, selection, stats, signs, results):
     if not doms and selection is not None:
         # the kill rules can starve every domain; keep the exact domain of
         # the centroid's winning coordinate so the pool never returns empty
-        centroid = s.vertices.mean(axis=0)
-        k = int(np.argmax(centroid[list(pool.dims)]))
+        k = int(np.argmax(s.columns(list(pool.dims)).mean(axis=0)))
         piece = _domain_chain(s, pool, k, None, stats, signs, results)
         if piece is not None:
             doms.append((piece, k))
@@ -263,7 +263,7 @@ def maxpool_pool_reach(inputs, pool: PoolSpec,
     for s in inputs:
         if max(pool.dims) >= s.ambient_dim:
             raise LatticeError("pool coordinate out of range")
-        signs = _pair_signs(s.vertices, np.array(pool.window))
+        signs = _pair_signs(s, np.array(pool.window))
         for piece, k in _pool_domains(s, pool, selection, stats, signs,
                                       _pair_results(*signs[1:])):
             keep = [c for c in range(piece.ambient_dim) if c not in pool.dims]
@@ -298,7 +298,7 @@ def maxpool_layer_reach(inputs, layer,
     _check_selection(selection, inputs)
 
     def step(t, pi, cols):
-        signs = _pair_signs(t.vertices, idx[pi:])
+        signs = _pair_signs(t, idx[pi:])
         results = _pair_results(*signs[1:])
         # a pool's winner wins all three of its pairs, even where the piece
         # crosses the others'; else -1 (crossed, or a tolerance cycle)

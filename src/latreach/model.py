@@ -19,7 +19,8 @@ import numpy as np
 
 from .affine import (Conv, affine_rows, affine_transpose, diagonal,
                      scale_rows)
-from .lattice import LatticeError, LatticeSet, as_int, build_box_lattice
+from .lattice import (LatticeError, LatticeSet, MappedSet, as_int,
+                      build_box_lattice)
 from .layers import PoolSpec
 
 FLRW_MAGIC = b"FLRW"
@@ -359,6 +360,15 @@ def gradient(net: Network, x, logit_index: int) -> Gradients:
     return Gradients(g, wrt_layer)
 
 
+def _embed_rows(spec: InputSpec, rows) -> np.ndarray:
+    """Full-width input rows: ``rows`` in the perturbed coordinates, the
+    baseline in the others."""
+    emb = np.empty((len(rows), spec.baseline.size))
+    emb[:] = spec.baseline
+    emb[:, list(spec.perturbed_coords)] = rows
+    return emb
+
+
 def embed_box(spec: InputSpec, lo, hi) -> LatticeSet:
     """Box ``[lo, hi]`` over the perturbed coordinates, embedded at baseline.
 
@@ -367,6 +377,24 @@ def embed_box(spec: InputSpec, lo, hi) -> LatticeSet:
     region_vertices start out equal to vertices.
     """
     box = build_box_lattice(lo, hi)
-    emb = np.tile(spec.baseline, (box.n_vertices, 1))
-    emb[:, list(spec.perturbed_coords)] = box.vertices
+    emb = _embed_rows(spec, box.vertices)
     return LatticeSet(box.lattice, emb, emb.copy())
+
+
+def mapped_box(spec: InputSpec, lo, hi) -> MappedSet:
+    """:func:`embed_box` as a MappedSet: the box's corners as region rows,
+    and the map that puts them into the perturbed coordinates of the
+    baseline."""
+    box = build_box_lattice(lo, hi)
+    k = box.ambient_dim
+    M = np.zeros((k + 1, spec.baseline.size))
+    M[-1] = spec.baseline
+    M[:, list(spec.perturbed_coords)] = np.eye(k + 1, k)
+    return MappedSet(box.lattice, box.vertices, M)
+
+
+def unmap_set(spec: InputSpec, s: MappedSet) -> LatticeSet:
+    """The LatticeSet of a MappedSet started by :func:`mapped_box`: its
+    vertex rows from the map, and full-width region rows."""
+    return LatticeSet(s.lattice, s.region @ s.M[:-1] + s.M[-1],
+                      _embed_rows(spec, s.region))

@@ -26,7 +26,7 @@ def reference_maxpool_layer(inputs, pools, selection=None, stats=None):
         for pi, pool in enumerate(pools):
             nxt = []
             for t, wins in pending:
-                signs = _pair_signs(t.vertices, np.array(pool.window))
+                signs = _pair_signs(t, np.array(pool.window))
                 for piece, k in _pool_domains(t, pool, selection, stats, signs,
                                               _pair_results(*signs[1:])):
                     nxt.append((piece, wins[:pi] + [k] + wins[pi + 1:]))

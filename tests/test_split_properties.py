@@ -285,7 +285,7 @@ def test_coordinate_cut_reads_only_its_coordinates(s, data):
         _, cut_pos, cut_neg = classify_vertices(s, coord_hyperplane(d, i, j))
         diff = s.vertices[:, i] - (0.0 if j is None else s.vertices[:, j])
         if j is not None:  # the maxpool pair-sign pass labels the same cut
-            _, pos, neg = _pair_signs(s.vertices, np.array([i, j, j, j]))
+            _, pos, neg = _pair_signs(s, np.array([i, j, j, j]))
             assert np.array_equal(cut_pos, pos[:, 0])
             assert np.array_equal(cut_neg, neg[:, 0])
     pos, neg = sides(diff, np.abs(diff))
